@@ -615,6 +615,24 @@ mod tests {
     }
 
     #[test]
+    fn range_typing_gives_literals_no_class_marker() {
+        let mut s = Store::new();
+        s.load_turtle(&format!(
+            r#"@prefix ex: <{EX}> .
+               @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+               ex:price rdfs:range ex:Money .
+               ex:l1 a ex:Laptop ; ex:price 900 .
+            "#
+        ))
+        .unwrap();
+        // every term, literals included, so a typed literal would be counted
+        let every_term = ExtSet::from_sorted_iter(s.terms().map(|(t, _)| t));
+        let markers = class_markers(&s, &every_term);
+        let names: Vec<String> = markers.iter().map(|m| s.term(m.class).display_name()).collect();
+        assert_eq!(names, ["Laptop"]);
+    }
+
+    #[test]
     fn zero_count_classes_pruned() {
         let s = store();
         let markers = class_markers(&s, &laptops(&s));

@@ -695,7 +695,7 @@ impl<'s> BulkLoader<'s> {
             crate::layer::Layer::Seg(sl) => sl.bulk_extend(new_run, threads),
         };
         if added > 0 {
-            self.store.dirty = true;
+            self.store.invalidate_closure();
             self.store.generation += added as u64;
         }
         if materialize {

@@ -3,11 +3,12 @@
 
 use crate::extset::{merge_sorted, ExtSet};
 use crate::index::{IdTriple, TripleIndex};
-use crate::inference;
+use crate::inference::{self, Schema};
 use crate::interner::{Interner, TermId};
 use crate::layer::Layer;
 use rdfa_model::{ntriples, turtle, vocab, Graph, Term, Triple};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A triple pattern over interned ids; `None` is a wildcard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,6 +101,23 @@ impl SegmentStats {
     }
 }
 
+/// A delta larger than the explicit layer divided by this is applied by
+/// rebuilding the closure: past it, re-deriving every triple once is
+/// cheaper than re-checking each candidate.
+pub(crate) const DELTA_FRACTION: usize = 16;
+
+/// How the inferred layer stands against the explicit layer.
+#[derive(Debug, Clone)]
+pub(crate) enum Closure {
+    /// Exactly the closure of the explicit layer.
+    Exact,
+    /// The closure of the explicit layer before these effective data-only
+    /// inserts and removes; applied as a delta.
+    Pending(Vec<IdTriple>),
+    /// Must be rebuilt from scratch.
+    Stale,
+}
+
 /// In-memory RDF store: explicit triples plus a materialized RDFS closure.
 /// Each layer is either a plain in-memory index or a stack of immutable
 /// mmap segments with a small overlay (see [`crate::segment`]).
@@ -109,10 +127,13 @@ pub struct Store {
     pub(crate) explicit: Layer,
     /// Inferred triples **not** present in the explicit layer.
     inferred: Layer,
-    /// True when the inferred layer is stale w.r.t. the explicit layer.
-    pub(crate) dirty: bool,
+    /// Whether `inferred` is current, pending a delta, or stale.
+    pub(crate) closure: Closure,
+    /// The schema `inferred` was derived with, shared between clones;
+    /// dropped when a schema triple changes and rebuilt on demand.
+    pub(crate) schema: Option<Arc<Schema>>,
     /// Monotonic change counter: bumped on every effective insert/remove and
-    /// on rematerialization. Cache keys derived from query results over this
+    /// whenever the closure catches up. Cache keys derived from query results over this
     /// store include the generation, so stale entries die automatically.
     pub(crate) generation: u64,
     wk: WellKnown,
@@ -142,7 +163,8 @@ impl Store {
             interner,
             explicit: Layer::default(),
             inferred: Layer::default(),
-            dirty: false,
+            closure: Closure::Exact,
+            schema: None,
             generation: 0,
             wk,
         }
@@ -177,12 +199,13 @@ impl Store {
             rdf_property: interner.get_or_intern(&Term::iri(vocab::rdf::PROPERTY)),
             owl_functional: interner.get_or_intern(&Term::iri(vocab::owl::FUNCTIONAL_PROPERTY)),
         };
-        let dirty = inferred.is_none();
+        let closure = if inferred.is_some() { Closure::Exact } else { Closure::Stale };
         Store {
             interner,
             explicit,
             inferred: inferred.unwrap_or_default(),
-            dirty,
+            closure,
+            schema: None,
             generation: 0,
             wk,
         }
@@ -208,7 +231,8 @@ impl Store {
             interner,
             explicit,
             inferred: inferred.unwrap_or_else(|| self.inferred.clone()),
-            dirty: self.dirty,
+            closure: self.closure.clone(),
+            schema: self.schema.clone(),
             generation: self.generation,
             wk: self.wk,
         }
@@ -288,7 +312,8 @@ impl Store {
 
     // ---- mutation --------------------------------------------------------
 
-    /// Insert a triple of terms. Marks the inference layer stale.
+    /// Insert a triple of terms. The inference layer lags until the next
+    /// [`Store::materialize_inference`].
     pub fn insert(&mut self, t: &Triple) -> bool {
         let s = self.interner.get_or_intern(&t.subject);
         let p = self.interner.get_or_intern(&t.predicate);
@@ -300,20 +325,43 @@ impl Store {
     pub fn insert_ids(&mut self, t: IdTriple) -> bool {
         let added = self.explicit.insert(t);
         if added {
-            self.dirty = true;
-            self.generation += 1;
+            self.record_change(t);
         }
         added
     }
 
-    /// Remove an explicit triple (the closure is recomputed lazily).
+    /// Remove an explicit triple. Like an insert, the change is queued and
+    /// the closure catches up at the next [`Store::materialize_inference`].
     pub fn remove_ids(&mut self, t: IdTriple) -> bool {
         let removed = self.explicit.remove(t);
         if removed {
-            self.dirty = true;
-            self.generation += 1;
+            self.record_change(t);
         }
         removed
+    }
+
+    /// Account one effective explicit change: queue it for delta
+    /// maintenance, or give up on the delta when it touches the schema or
+    /// outgrows 1/[`DELTA_FRACTION`] of the store.
+    fn record_change(&mut self, t: IdTriple) {
+        self.generation += 1;
+        if inference::is_schema_predicate(&self.wk, t[1]) {
+            self.invalidate_closure();
+            return;
+        }
+        let limit = self.explicit.len() / DELTA_FRACTION;
+        match &mut self.closure {
+            Closure::Exact if limit >= 1 => self.closure = Closure::Pending(vec![t]),
+            Closure::Pending(delta) if delta.len() < limit => delta.push(t),
+            Closure::Stale => {}
+            _ => self.closure = Closure::Stale,
+        }
+    }
+
+    /// Mark the closure for a full rebuild, dropping the cached schema.
+    pub(crate) fn invalidate_closure(&mut self) {
+        self.closure = Closure::Stale;
+        self.schema = None;
     }
 
     /// Load a parsed graph and materialize the RDFS closure.
@@ -341,29 +389,54 @@ impl Store {
         Ok(n)
     }
 
-    /// Recompute the inferred layer from the explicit layer (RDFS rules
-    /// 2, 3, 5, 7, 9, 11: domain, range, subPropertyOf transitivity and
-    /// inheritance, subClassOf transitivity and type propagation).
+    /// Bring the inferred layer up to date with the explicit layer (RDFS
+    /// rules 2, 3, 5, 7, 9, 11: domain, range, subPropertyOf transitivity
+    /// and inheritance, subClassOf transitivity and type propagation).
+    ///
+    /// Changes since the closure was last exact are applied as a delta
+    /// (see [`crate::inference`]); a schema change, a delta past a fixed
+    /// fraction of the store, or an already stale closure rebuilds it from
+    /// scratch. Both paths produce the same layer. A current closure is
+    /// left alone.
     pub fn materialize_inference(&mut self) {
-        self.inferred = Layer::mem(inference::compute_closure(&self.explicit, self.wk));
-        self.dirty = false;
-        // the entailed view changed, not just the explicit layer
+        match std::mem::replace(&mut self.closure, Closure::Exact) {
+            Closure::Exact => {}
+            Closure::Pending(delta) => {
+                let (explicit, wk) = (&self.explicit, self.wk);
+                let schema = self.schema.get_or_insert_with(|| Arc::new(Schema::new(explicit, wk)));
+                let (inferred, terms) = (&mut self.inferred, &self.interner);
+                inference::apply_delta(explicit, inferred, schema, terms, delta);
+                // the entailed view changed, not just the explicit layer
+                self.generation += 1;
+            }
+            Closure::Stale => self.rebuild_inference(),
+        }
+    }
+
+    /// Recompute the inferred layer from scratch, whatever its state —
+    /// the reference the delta path is tested against.
+    pub fn rebuild_inference(&mut self) {
+        let schema = Arc::new(Schema::new(&self.explicit, self.wk));
+        self.inferred =
+            Layer::mem(inference::compute_closure(&self.explicit, &schema, &self.interner));
+        self.schema = Some(schema);
+        self.closure = Closure::Exact;
         self.generation += 1;
     }
 
     /// Monotonic change counter over the store's contents. Bumped on every
-    /// effective insert/remove and on [`Store::materialize_inference`], so
+    /// effective insert/remove and whenever the closure catches up, so
     /// two equal generations guarantee identical entailed query results.
     /// Cheap enough to read per request; used to key the facet cache.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// True when the inferred layer is stale (insertions since the last
+    /// True when the inferred layer lags the explicit one (changes since the last
     /// [`Store::materialize_inference`]). Queries still run but see the old
     /// closure for inferred triples.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        !matches!(self.closure, Closure::Exact)
     }
 
     // ---- queries ---------------------------------------------------------

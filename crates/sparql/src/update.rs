@@ -38,8 +38,10 @@ pub struct UpdateStats {
     pub deleted: usize,
 }
 
-/// Parse and execute an update request against a store. The RDFS closure is
-/// re-materialized once at the end.
+/// Parse and execute an update request against a store. The RDFS closure
+/// catches up once at the end: the request's effective changes are applied
+/// to it as one delta, or, when they touch the schema or a large share of
+/// the store, it is rebuilt (see [`Store::materialize_inference`]).
 pub fn execute_update(store: &mut Store, text: &str) -> Result<UpdateStats, SparqlError> {
     execute_update_recording(store, text).map(|(stats, _)| stats)
 }
