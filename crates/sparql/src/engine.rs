@@ -1,10 +1,12 @@
 //! The public query interface: build an [`Engine`], [`Engine::prepare`] a
 //! query once, execute it many times.
 //!
-//! A [`PreparedQuery`] carries its parsed form and — for `SELECT` queries in
-//! the batched fragment — a compiled physical plan over the store's interned
-//! ID space ([`crate::plan`]). Repeated [`PreparedQuery::execute`] calls
-//! reuse the plan; [`PreparedQuery::explain`] renders it, and
+//! A [`PreparedQuery`] carries its parsed form and a physical plan over the
+//! store's interned ID space ([`crate::plan`]), compiled once for every
+//! `SELECT`, `CONSTRUCT` and `ASK`. Repeated [`PreparedQuery::execute`]
+//! calls reuse the plan; `CONSTRUCT` instantiates its template over the
+//! plan's bindings and `ASK` checks that there is one.
+//! [`PreparedQuery::explain`] renders the plan, and
 //! [`PreparedQuery::last_stats`] reports per-operator cardinalities of the
 //! most recent execution.
 //!
@@ -13,11 +15,13 @@
 //! runtime in [`crate::plan`] reads it for every parallel region.
 
 use crate::ast::{Query, QueryForm};
-use crate::eval::{EvalOptions, Evaluator, ExecMode};
 use crate::limits::EvalLimits;
 use crate::parser::parse_query;
-use crate::plan::{compile_select, describe_plan, execute_plan, ExecStats, PhysicalPlan};
-use crate::results::QueryResults;
+use crate::plan::{
+    compile_pattern, compile_select, describe_plan, execute_plan, instantiate, EvalOptions,
+    ExecStats, PhysicalPlan,
+};
+use crate::results::{QueryResults, Solutions};
 use crate::views::{match_aggregate_shape, ShapeMatch, ViewCatalog};
 use crate::SparqlError;
 use rdfa_exec::ExecPolicy;
@@ -55,12 +59,6 @@ impl<'s> EngineBuilder<'s> {
     /// Enable or disable selectivity-based BGP reordering (default: on).
     pub fn reorder_bgp(mut self, on: bool) -> Self {
         self.options.reorder_bgp = on;
-        self
-    }
-
-    /// Choose the execution engine for `SELECT` queries (default: ID space).
-    pub fn execution(mut self, mode: ExecMode) -> Self {
-        self.options.execution = mode;
         self
     }
 
@@ -107,17 +105,20 @@ impl<'s> Engine<'s> {
         &self.options
     }
 
-    /// Parse a query and compile it for repeated execution. `SELECT`
-    /// queries inside the batched fragment get a physical plan over the
-    /// interned ID space; everything else (and [`ExecMode::TermSpace`])
-    /// executes on the term-space evaluator.
+    /// Parse a query and compile it for repeated execution: `SELECT`,
+    /// `CONSTRUCT` and `ASK` get a physical plan over the interned ID
+    /// space; `DESCRIBE` reads the store's indexes directly.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery<'s>, SparqlError> {
         let query = parse_query(text)?;
-        let plan = match (&query.form, self.options.execution) {
-            (QueryForm::Select(q), ExecMode::IdSpace) => {
-                compile_select(q, self.store, &self.options)
+        let (store, options) = (self.store, &self.options);
+        let plan = match &query.form {
+            QueryForm::Select(q) => Some(compile_select(q, store, options)?),
+            QueryForm::Construct { template, where_ } => {
+                let label = format!("Construct({} templates)", template.len());
+                Some(compile_pattern(where_, label, store, options)?)
             }
-            _ => None,
+            QueryForm::Ask(where_) => Some(compile_pattern(where_, "Ask".into(), store, options)?),
+            QueryForm::Describe(_) => None,
         };
         // canonicalize against the viewable fragment only when a catalog is
         // attached: without one the shape would never be consulted
@@ -144,13 +145,14 @@ impl<'s> Engine<'s> {
     }
 }
 
-/// A parsed (and, where possible, compiled) query bound to a store,
-/// executable any number of times.
+/// A parsed and compiled query bound to a store, executable any number of
+/// times.
 pub struct PreparedQuery<'s> {
     store: &'s Store,
     options: EvalOptions,
     text: String,
     query: Query,
+    /// The compiled plan; `None` only for `DESCRIBE`.
     plan: Option<PhysicalPlan>,
     stats: RefCell<Option<ExecStats>>,
     views: Option<Arc<dyn ViewCatalog>>,
@@ -173,10 +175,12 @@ impl<'s> PreparedQuery<'s> {
         &self.text
     }
 
-    /// True when this query runs on the compiled ID-space plan (false for
-    /// non-`SELECT` forms, [`ExecMode::TermSpace`], and fragment fallbacks).
+    /// Always true: every query form executes over the store's interned ID
+    /// space (`DESCRIBE` walks its indexes directly). Kept for callers that
+    /// report the share of queries leaving the compiled plan, which is now
+    /// zero.
     pub fn uses_id_space(&self) -> bool {
-        self.plan.is_some()
+        true
     }
 
     /// Execute the query. The resource-limit clock starts now.
@@ -192,14 +196,7 @@ impl<'s> PreparedQuery<'s> {
                     }
                 }
                 let started = self.views.as_ref().map(|_| std::time::Instant::now());
-                let result = if let Some(plan) = &self.plan {
-                    let (solutions, stats) = execute_plan(plan, q, self.store, &self.options)?;
-                    *self.stats.borrow_mut() = Some(stats);
-                    Ok(QueryResults::Solutions(solutions))
-                } else {
-                    let ev = Evaluator::with_options(self.store, self.options.clone());
-                    Ok(QueryResults::Solutions(ev.eval_select(q)?))
-                };
+                let result = self.run_plan().map(QueryResults::Solutions);
                 if let (Some(catalog), Some(t0)) = (&self.views, started) {
                     *self.view_hit.borrow_mut() = None;
                     if result.is_ok() {
@@ -208,51 +205,58 @@ impl<'s> PreparedQuery<'s> {
                 }
                 result
             }
-            QueryForm::Construct { template, where_ } => {
-                let ev = Evaluator::with_options(self.store, self.options.clone());
-                Ok(QueryResults::Graph(ev.eval_construct(template, where_)?))
+            QueryForm::Construct { template, .. } => {
+                let triples = instantiate(template, &self.run_plan()?, true);
+                Ok(QueryResults::Graph(triples.into_iter().collect()))
             }
-            QueryForm::Ask(where_) => {
-                let ev = Evaluator::with_options(self.store, self.options.clone());
-                Ok(QueryResults::Boolean(ev.eval_ask(where_)?))
-            }
+            QueryForm::Ask(_) => Ok(QueryResults::Boolean(!self.run_plan()?.is_empty())),
             QueryForm::Describe(resources) => {
                 Ok(QueryResults::Graph(describe(self.store, resources)))
             }
         }
     }
 
-    /// Statistics of the most recent [`PreparedQuery::execute`] on the
-    /// ID-space plan (operator cardinalities, threads used, arena size).
-    /// `None` before the first execution and on term-space fallbacks.
+    /// Run the compiled plan and keep its statistics.
+    fn run_plan(&self) -> Result<Solutions, SparqlError> {
+        let plan = self.plan.as_ref().expect("every form but DESCRIBE compiles a plan");
+        let (solutions, stats) = execute_plan(plan, self.store, &self.options)?;
+        *self.stats.borrow_mut() = Some(stats);
+        Ok(solutions)
+    }
+
+    /// Statistics of the most recent [`PreparedQuery::execute`] (operator
+    /// cardinalities, threads used, arena size). `None` before the first
+    /// execution, after an answer served from a materialized view, and for
+    /// `DESCRIBE`.
     pub fn last_stats(&self) -> Option<ExecStats> {
         self.stats.borrow().clone()
     }
 
-    /// Render the plan as text. For compiled queries this is the physical
-    /// operator tree with estimates, and — after an execution — observed
-    /// per-operator cardinalities; otherwise the term-space BGP plan.
+    /// Render the plan as text: the physical operator tree with estimates
+    /// and — after an execution — observed per-operator cardinalities, then
+    /// the resource limits in force (when any are set). `CONSTRUCT` and
+    /// `ASK` show their `WHERE` plan; `DESCRIBE` is one line.
     pub fn explain(&self) -> String {
-        let base = if let Some(plan) = &self.plan {
-            let stats = self.stats.borrow();
-            let mut out = String::from("physical plan:\n");
-            for line in describe_plan(plan, stats.as_ref()) {
-                out.push_str("  ");
-                out.push_str(&line);
-                out.push('\n');
+        let mut out = String::from("physical plan:\n");
+        let lines = match (&self.plan, &self.query.form) {
+            (Some(plan), _) => describe_plan(plan, self.stats.borrow().as_ref()),
+            (None, QueryForm::Describe(resources)) => {
+                vec![format!("Describe({} resources)", resources.len())]
             }
-            out
-        } else {
-            match crate::explain::explain(self.store, &self.text, self.options.clone()) {
-                Ok(plan) => plan.to_text(),
-                Err(e) => format!("explain unavailable: {e}\n"),
-            }
+            (None, _) => unreachable!("every form but DESCRIBE compiles a plan"),
         };
+        for line in lines {
+            out.push_str(&format!("  {line}\n"));
+        }
+        let limits = self.options.effective_limits();
+        if !limits.is_unlimited() {
+            out.push_str(&format!("limits: {limits}\n"));
+        }
         // the most recent execution was answered from a materialized view:
         // the plan below was bypassed entirely
         match &*self.view_hit.borrow() {
-            Some(key) => format!("view-hit: {key}\n{base}"),
-            None => base,
+            Some(key) => format!("view-hit: {key}\n{out}"),
+            None => out,
         }
     }
 }
@@ -851,31 +855,170 @@ mod tests {
     }
 
     #[test]
-    fn term_space_mode_skips_the_plan() {
+    fn every_form_compiles_to_the_plan() {
         let s = store();
-        let engine = Engine::builder(&s).execution(ExecMode::TermSpace).build();
-        let prepared = engine
-            .prepare("PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Laptop . }")
-            .unwrap();
-        assert!(!prepared.uses_id_space());
-        assert_eq!(prepared.execute().unwrap().solutions().unwrap().len(), 3);
-        // the fallback explain is the term-space BGP plan
-        assert!(prepared.explain().contains("plan:"));
+        let engine = Engine::builder(&s).build();
+        for q in [
+            // property path, sub-select, MINUS, FILTER NOT EXISTS
+            "SELECT ?x WHERE { ?x ex:manufacturer/ex:origin ex:USA . }",
+            "SELECT ?m ?n WHERE { { SELECT ?m (COUNT(*) AS ?n) WHERE { ?x ex:manufacturer ?m } GROUP BY ?m } }",
+            "SELECT ?x WHERE { ?x a ex:Laptop . MINUS { ?x ex:manufacturer ex:DELL . } }",
+            "SELECT ?x WHERE { ?x a ex:Laptop . FILTER NOT EXISTS { ?x ex:usb 4 } }",
+            "CONSTRUCT { ?x ex:cheap true } WHERE { ?x ex:price ?p . FILTER(?p < 900) }",
+            "ASK WHERE { ?x ex:price 900 . }",
+        ] {
+            let prepared = engine.prepare(&format!("PREFIX ex: <http://example.org/> {q}")).unwrap();
+            assert!(prepared.uses_id_space());
+            prepared.execute().unwrap();
+            let text = prepared.explain();
+            assert!(text.starts_with("physical plan:"), "{text}");
+            assert!(prepared.last_stats().is_some(), "{q}");
+        }
     }
 
     #[test]
-    fn fragment_fallback_still_answers() {
+    fn property_path_runs_as_a_path_operator() {
         let s = store();
         let engine = Engine::builder(&s).build();
-        // property paths are outside the batched fragment
         let prepared = engine
             .prepare(
                 r#"PREFIX ex: <http://example.org/>
                    SELECT ?x WHERE { ?x ex:manufacturer/ex:origin ex:USA . }"#,
             )
             .unwrap();
-        assert!(!prepared.uses_id_space());
         assert_eq!(prepared.execute().unwrap().solutions().unwrap().len(), 2);
+        let text = prepared.explain();
+        assert!(text.contains("PathJoin ?x manufacturer/origin USA"), "{text}");
+    }
+
+    #[test]
+    fn new_operators_appear_in_explain() {
+        let s = store();
+        let engine = Engine::builder(&s).build();
+        let prepared = engine
+            .prepare(
+                r#"PREFIX ex: <http://example.org/>
+                   SELECT ?x ?t WHERE {
+                     ?x a ex:Laptop .
+                     MINUS { ?x ex:usb 4 . }
+                     { SELECT (COUNT(*) AS ?t) WHERE { ?y a ex:Laptop } }
+                     FILTER EXISTS { ?x ex:manufacturer ?m }
+                     FILTER (!EXISTS { ?x ex:price 1 } || ?t > 100)
+                   }"#,
+            )
+            .unwrap();
+        let rows = prepared.execute().unwrap().into_solutions().unwrap();
+        assert_eq!(rows.len(), 2, "l2 has four USB ports");
+        let text = prepared.explain();
+        for op in ["Minus(on ?x)", "SubSelect(?t)", "SemiJoin(EXISTS)", "ExistsProbe", "Filter(1 exprs)"] {
+            assert!(text.contains(op), "{op} missing:\n{text}");
+        }
+    }
+
+    #[test]
+    fn construct_ask_and_describe_explain_their_plans() {
+        let s = store();
+        let engine = Engine::builder(&s).build();
+        let explain = |q: &str| {
+            engine.prepare(&format!("PREFIX ex: <http://example.org/> {q}")).unwrap().explain()
+        };
+        let construct = explain("CONSTRUCT { ?x ex:cheap true } WHERE { ?x ex:price ?p }");
+        assert!(construct.contains("IndexJoin ?x price ?p"), "{construct}");
+        assert!(construct.contains("Construct(1 templates)"), "{construct}");
+        let ask = explain("ASK WHERE { ?x ex:price 900 }");
+        assert!(ask.contains("IndexJoin ?x price 900") && ask.contains("Ask"), "{ask}");
+        assert_eq!(explain("DESCRIBE ex:l1"), "physical plan:\n  Describe(1 resources)\n");
+    }
+
+    // ---- SELECT * projects only in-scope variables (SPARQL 1.1 §18.2.1) ----
+
+    #[test]
+    fn select_star_skips_minus_only_variables() {
+        let s = store();
+        let r = rows(
+            &s,
+            r#"PREFIX ex: <http://example.org/>
+               SELECT * WHERE { ?s ex:price ?o MINUS { ?s ex:usb ?z } }"#,
+        );
+        assert_eq!(r.vars(), ["s", "o"]);
+    }
+
+    #[test]
+    fn select_star_skips_filter_only_variables() {
+        let s = store();
+        let r = rows(
+            &s,
+            r#"PREFIX ex: <http://example.org/>
+               SELECT * WHERE { ?s ex:price ?o FILTER(?o != ?k) }"#,
+        );
+        assert_eq!(r.vars(), ["s", "o"]);
+        // ?k is unbound, so the comparison errors and rejects every row
+        assert!(r.is_empty());
+        let r = rows(
+            &s,
+            r#"PREFIX ex: <http://example.org/>
+               SELECT * WHERE { ?s ex:price ?o FILTER NOT EXISTS { ?s ex:usb ?u } }"#,
+        );
+        assert_eq!(r.vars(), ["s", "o"]);
+    }
+
+    // ---- explain -----------------------------------------------------------
+
+    const EXPLAIN_Q: &str = r#"PREFIX ex: <http://example.org/>
+        SELECT ?x WHERE {
+          ?x a ex:Laptop .
+          ?x ex:manufacturer ?m .
+          ?m ex:origin ex:USA .
+          FILTER(?x != ex:l9)
+        }"#;
+
+    fn joins(explain: &str) -> Vec<&str> {
+        explain.lines().filter(|l| l.contains("IndexJoin")).map(str::trim).collect()
+    }
+
+    #[test]
+    fn explain_runs_the_selective_pattern_first() {
+        let s = store();
+        let text = Engine::builder(&s).build().prepare(EXPLAIN_Q).unwrap().explain();
+        let order = joins(&text);
+        assert_eq!(order.len(), 3, "{text}");
+        // the origin=USA pattern (1 match) runs first
+        assert_eq!(order[0], "IndexJoin ?m origin USA est=1", "{text}");
+        assert!(text.contains("Filter(1 exprs)"), "{text}");
+    }
+
+    #[test]
+    fn explain_keeps_source_order_without_reordering() {
+        let s = store();
+        let engine = Engine::builder(&s).reorder_bgp(false).build();
+        let text = engine.prepare(EXPLAIN_Q).unwrap().explain();
+        let order = joins(&text);
+        assert!(order[0].starts_with("IndexJoin ?x type Laptop"), "{text}");
+        assert!(order[1].starts_with("IndexJoin ?x manufacturer ?m"), "{text}");
+        assert!(order[2].starts_with("IndexJoin ?m origin USA"), "{text}");
+    }
+
+    #[test]
+    fn explain_renders_text() {
+        let s = store();
+        let text = Engine::builder(&s).build().prepare(EXPLAIN_Q).unwrap().explain();
+        assert!(text.starts_with("physical plan:\n"), "{text}");
+        assert!(text.contains("est="), "{text}");
+        assert!(text.lines().last().unwrap().trim_start().starts_with("Project(1 items)"), "{text}");
+    }
+
+    #[test]
+    fn explain_reports_limits_in_force() {
+        let s = store();
+        let limits =
+            EvalLimits::default().with_deadline(Duration::from_millis(100)).with_max_rows(10_000);
+        let text = Engine::builder(&s).limits(limits).build().prepare(EXPLAIN_Q).unwrap().explain();
+        let line = text.lines().find(|l| l.starts_with("limits:")).expect("limits line");
+        assert!(line.contains("deadline 100ms"), "{line}");
+        assert!(line.contains("rows <= 10000"), "{line}");
+        // unlimited runs stay silent
+        let silent = Engine::builder(&s).build().prepare(EXPLAIN_Q).unwrap().explain();
+        assert!(!silent.contains("limits:"), "{silent}");
     }
 
     // ---- resource limits ---------------------------------------------------

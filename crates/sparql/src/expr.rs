@@ -2,32 +2,39 @@
 //! yields `None`, which makes the enclosing `FILTER` reject the row.
 
 use crate::ast::{ArithOp, CompareOp, Expr};
-use crate::eval::{Bound, Frame, Row};
 use crate::limits::LimitGuard;
+use crate::plan::{Bound, Frame, Row};
 use rdfa_model::{Term, Value};
 use rdfa_store::Store;
 use std::cmp::Ordering;
-use std::rc::Rc;
 
-/// Evaluate a (non-aggregate) expression against one row, unlimited.
+/// Answers the leaves a row alone cannot: `EXISTS` patterns (the executor
+/// runs them on the row) and, in a grouped projection, aggregates. `None`
+/// is an expression error.
+pub(crate) type LeafFn<'a> = dyn FnMut(&Expr) -> Option<Value> + 'a;
+
+/// Evaluate an expression against one row, unlimited. Without an executor
+/// behind it, `EXISTS` and aggregates are expression errors.
 pub fn eval_expr(expr: &Expr, row: &Row, frame: &Frame, store: &Store) -> Option<Value> {
-    eval_expr_limited(expr, row, frame, store, &Rc::new(LimitGuard::unlimited()))
+    let guard = LimitGuard::unlimited();
+    eval_expr_limited(expr, row, frame, store, &guard, &mut |_: &Expr| None)
 }
 
-/// Guarded variant: shares the evaluator's limit guard, so `EXISTS`
-/// sub-evaluations draw from the same budget as the outer query. Once the
-/// guard trips, evaluation returns `None` (an expression error); the
-/// evaluator surfaces the structured error at its next checkpoint.
+/// Guarded variant: once the guard trips, evaluation returns `None` (an
+/// expression error) and the executor surfaces the structured error at its
+/// next checkpoint. `leaf` answers `EXISTS` and aggregate leaves.
 pub(crate) fn eval_expr_limited(
     expr: &Expr,
     row: &Row,
     frame: &Frame,
     store: &Store,
-    guard: &Rc<LimitGuard>,
+    guard: &LimitGuard,
+    leaf: &mut LeafFn<'_>,
 ) -> Option<Value> {
     if guard.soft_tripped() {
         return None;
     }
+    let mut eval = |e: &Expr| eval_expr_limited(e, row, frame, store, guard, leaf);
     match expr {
         Expr::Var(v) => {
             let slot = frame.index(v)?;
@@ -37,8 +44,8 @@ pub(crate) fn eval_expr_limited(
         Expr::Const(t) => Some(Value::from_term(t)),
         Expr::Or(a, b) => {
             // SPARQL ternary logic: true || error = true
-            let va = eval_expr_limited(a, row, frame, store, guard).and_then(|v| v.effective_boolean());
-            let vb = eval_expr_limited(b, row, frame, store, guard).and_then(|v| v.effective_boolean());
+            let va = eval(a).and_then(|v| v.effective_boolean());
+            let vb = eval(b).and_then(|v| v.effective_boolean());
             match (va, vb) {
                 (Some(true), _) | (_, Some(true)) => Some(Value::Bool(true)),
                 (Some(false), Some(false)) => Some(Value::Bool(false)),
@@ -46,26 +53,21 @@ pub(crate) fn eval_expr_limited(
             }
         }
         Expr::And(a, b) => {
-            let va = eval_expr_limited(a, row, frame, store, guard).and_then(|v| v.effective_boolean());
-            let vb = eval_expr_limited(b, row, frame, store, guard).and_then(|v| v.effective_boolean());
+            let va = eval(a).and_then(|v| v.effective_boolean());
+            let vb = eval(b).and_then(|v| v.effective_boolean());
             match (va, vb) {
                 (Some(false), _) | (_, Some(false)) => Some(Value::Bool(false)),
                 (Some(true), Some(true)) => Some(Value::Bool(true)),
                 _ => None,
             }
         }
-        Expr::Not(e) => {
-            let v = eval_expr_limited(e, row, frame, store, guard)?.effective_boolean()?;
-            Some(Value::Bool(!v))
-        }
+        Expr::Not(e) => Some(Value::Bool(!eval(e)?.effective_boolean()?)),
         Expr::Compare(a, op, b) => {
-            let va = eval_expr_limited(a, row, frame, store, guard)?;
-            let vb = eval_expr_limited(b, row, frame, store, guard)?;
+            let (va, vb) = (eval(a)?, eval(b)?);
             compare(&va, *op, &vb).map(Value::Bool)
         }
         Expr::Arith(a, op, b) => {
-            let va = eval_expr_limited(a, row, frame, store, guard)?;
-            let vb = eval_expr_limited(b, row, frame, store, guard)?;
+            let (va, vb) = (eval(a)?, eval(b)?);
             match op {
                 ArithOp::Add => va.add(&vb),
                 ArithOp::Sub => va.sub(&vb),
@@ -73,31 +75,14 @@ pub(crate) fn eval_expr_limited(
                 ArithOp::Div => va.div(&vb),
             }
         }
-        Expr::Neg(e) => {
-            let v = eval_expr_limited(e, row, frame, store, guard)?;
-            Value::Int(0).sub(&v)
-        }
+        Expr::Neg(e) => Value::Int(0).sub(&eval(e)?),
         Expr::In(e, list, negated) => {
-            let v = eval_expr_limited(e, row, frame, store, guard)?;
-            let mut found = false;
-            for item in list {
-                if let Some(vi) = eval_expr_limited(item, row, frame, store, guard) {
-                    if v.value_eq(&vi) {
-                        found = true;
-                        break;
-                    }
-                }
-            }
+            let v = eval(e)?;
+            let found = list.iter().any(|item| eval(item).is_some_and(|vi| v.value_eq(&vi)));
             Some(Value::Bool(found != *negated))
         }
-        Expr::Call(name, args) => eval_call(name, args, row, frame, store, guard),
-        Expr::Exists(group, negated) => {
-            let hit = crate::eval::exists_matches(store, group, frame, row, guard);
-            Some(Value::Bool(hit != *negated))
-        }
-        // aggregates are handled by the grouping machinery in eval.rs; seeing
-        // one here means it appeared in a non-aggregate context
-        Expr::Aggregate(..) => None,
+        Expr::Call(name, args) => eval_call(name, args, row, frame, store, guard, leaf),
+        Expr::Exists(..) | Expr::Aggregate(..) => leaf(expr),
     }
 }
 
@@ -140,8 +125,10 @@ fn eval_call(
     row: &Row,
     frame: &Frame,
     store: &Store,
-    guard: &Rc<LimitGuard>,
+    guard: &LimitGuard,
+    leaf: &mut LeafFn<'_>,
 ) -> Option<Value> {
+    let mut eval = |e: &Expr| eval_expr_limited(e, row, frame, store, guard, leaf);
     // BOUND, IF and COALESCE need lazy/unbound-tolerant handling
     match name {
         "BOUND" => {
@@ -152,13 +139,13 @@ fn eval_call(
             return None;
         }
         "IF" => {
-            let cond = eval_expr_limited(args.first()?, row, frame, store, guard)?.effective_boolean()?;
+            let cond = eval(args.first()?)?.effective_boolean()?;
             let branch = if cond { args.get(1)? } else { args.get(2)? };
-            return eval_expr_limited(branch, row, frame, store, guard);
+            return eval(branch);
         }
         "COALESCE" => {
             for a in args {
-                if let Some(v) = eval_expr_limited(a, row, frame, store, guard) {
+                if let Some(v) = eval(a) {
                     return Some(v);
                 }
             }
@@ -169,7 +156,7 @@ fn eval_call(
 
     let v: Vec<Value> = args
         .iter()
-        .map(|a| eval_expr_limited(a, row, frame, store, guard))
+        .map(eval)
         .collect::<Option<Vec<_>>>()?;
 
     match name {

@@ -1,13 +1,19 @@
 //! # rdfa-sparql — a SPARQL 1.1 subset engine
 //!
-//! Parser, algebra, and evaluator for the SPARQL fragment the RDF-Analytics
+//! Parser, algebra, and executor for the SPARQL fragment the RDF-Analytics
 //! system needs (§2.4 and Chapter 4 of the paper): `SELECT` (with `DISTINCT`,
 //! expression projections, and sub-selects), basic graph patterns, `FILTER`
 //! with the full comparison/arithmetic/boolean operator set and the built-ins
-//! used by derived attributes (`YEAR`, `MONTH`, `DAY`, …), `OPTIONAL`,
-//! `UNION`, `VALUES`, `BIND`, property paths (`/`, `^`, `|`, `+`, `*`, `?`),
-//! `GROUP BY` (variables and expressions), all standard aggregates, `HAVING`,
-//! `ORDER BY`, `LIMIT`/`OFFSET`, and `CONSTRUCT`.
+//! used by derived attributes (`YEAR`, `MONTH`, `DAY`, …), `[NOT] EXISTS`,
+//! `OPTIONAL`, `UNION`, `MINUS`, `VALUES`, `BIND`, property paths (`/`, `^`,
+//! `|`, `+`, `*`, `?`), `GROUP BY` (variables and expressions), all standard
+//! aggregates, `HAVING`, `ORDER BY`, `LIMIT`/`OFFSET`, `CONSTRUCT`, `ASK`,
+//! `DESCRIBE`, and the update forms of [`update`].
+//!
+//! There is one executor: every query form (and every update `WHERE`)
+//! compiles to a physical plan over the store's interned ids ([`plan`]),
+//! which [`PreparedQuery::explain`] renders and [`PreparedQuery::last_stats`]
+//! reports on.
 //!
 //! ```
 //! use rdfa_store::Store;
@@ -34,8 +40,6 @@
 pub mod ast;
 pub mod batch;
 pub mod engine;
-pub mod eval;
-pub mod explain;
 pub mod expr;
 pub mod limits;
 pub mod parser;
@@ -48,12 +52,10 @@ pub mod views;
 
 pub use ast::{Query, QueryForm, SelectQuery};
 pub use engine::{Engine, EngineBuilder, PreparedQuery};
-pub use eval::{EvalOptions, ExecMode};
 pub use rdfa_exec::ExecPolicy;
-pub use explain::{explain, Plan};
 pub use limits::{CancelFlag, EvalLimits, LimitKind};
 pub use parser::parse_query;
-pub use plan::{ExecStats, OpStats};
+pub use plan::{EvalOptions, ExecStats, OpStats};
 pub use results::{QueryResults, Solutions};
 pub use update::{execute_update, execute_update_recording, UpdateOp, UpdateStats};
 pub use views::{match_aggregate_shape, AggShape, ShapeMatch, ViewCatalog};

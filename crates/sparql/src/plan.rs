@@ -1,12 +1,16 @@
-//! Physical query plans over the interned ID space.
+//! Physical query plans over the interned ID space — the crate's only
+//! executor.
 //!
-//! [`compile_select`] lowers a parsed `SELECT` into a small operator tree
-//! (scan/join → filter → bind/values → optional/union → project/aggregate)
-//! once, ahead of execution. The executor evaluates the tree over columnar
-//! [`Batch`]es of packed execution ids ([`crate::batch`]): joins compare
-//! `u32`s against the store's triple indexes, hash `GROUP BY` keys are
-//! `Vec<u32>`, and terms are materialized only at the [`Solutions`]
-//! boundary.
+//! [`compile_select`] and [`compile_pattern`] lower a parsed query into a
+//! small operator tree once, ahead of execution: index joins and property
+//! paths, filters, `BIND`/`VALUES`, `OPTIONAL`/`UNION`, `MINUS` anti-joins,
+//! `[NOT] EXISTS` semi- and anti-joins, nested sub-`SELECT` scopes, and a
+//! final stage that projects or aggregates (`SELECT`) or hands back every
+//! binding (`CONSTRUCT`, `ASK`, update `WHERE`). The executor evaluates the
+//! tree over columnar [`Batch`]es of packed execution ids
+//! ([`crate::batch`]): joins compare `u32`s against the store's triple
+//! indexes, hash `GROUP BY` keys are `Vec<u32>`, and terms are
+//! materialized only at the [`Solutions`] boundary.
 //!
 //! Scan/join chains and hash aggregation run on the shared morsel runtime
 //! ([`rdfa_exec`]) when the input clears its work floor: the batch is cut
@@ -18,23 +22,18 @@
 //! store-iteration order, so the merged output (and each group's
 //! first-seen order and representative row) is byte-identical to the
 //! sequential path at every thread count.
-//!
-//! Queries using constructs outside this fragment (sub-selects, `MINUS`,
-//! non-IRI property paths) return `None` from [`compile_select`] and fall
-//! back to the term-space [`crate::eval::Evaluator`].
 
 use crate::ast::*;
 use crate::batch::{as_store, pack_store, Batch, EId, TermArena, UNBOUND};
-use crate::eval::{finalize_rows, Bound, EvalOptions, Evaluator, Frame, Row};
 use crate::expr::eval_expr_limited;
-use crate::limits::LimitGuard;
+use crate::limits::{EvalLimits, LimitGuard};
+use crate::path::eval_path_limited;
 use crate::results::Solutions;
 use crate::SparqlError;
-use rdfa_exec::{run_morsels, Interrupt, Trip, DEFAULT_MORSEL_ROWS};
-use rdfa_model::{Term, Value};
+use rdfa_exec::{run_morsels, ExecPolicy, Interrupt, Trip, DEFAULT_MORSEL_ROWS};
+use rdfa_model::{Term, Triple, Value};
 use rdfa_store::{Store, TermId};
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Estimated materialization cost of one batch row (one `EId` per column),
@@ -45,6 +44,194 @@ fn batch_row_cost(width: usize) -> u64 {
 
 /// Output rows between cooperative budget flushes inside a morsel worker.
 const WORKER_PROBE_INTERVAL: usize = 512;
+
+// ---- frames, rows and options ----------------------------------------------
+
+/// A bound value as expressions see it: an interned or a computed term.
+#[derive(Debug, Clone)]
+pub enum Bound {
+    Id(TermId),
+    Term(Term),
+}
+
+/// One solution row as expressions see it: a slot per frame variable.
+pub type Row = Vec<Option<Bound>>;
+
+/// The variable frame of one (sub)query scope.
+#[derive(Debug, Clone, Default)]
+pub struct Frame {
+    names: Vec<String>,
+}
+
+impl Frame {
+    /// Build a frame over the given variable names.
+    pub fn new(names: Vec<String>) -> Self {
+        Frame { names }
+    }
+
+    /// Slot index of a variable.
+    pub fn index(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when the frame has no variables.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The variable names in slot order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    fn add(&mut self, name: &str) {
+        if !self.names.iter().any(|n| n == name) {
+            self.names.push(name.to_owned());
+        }
+    }
+}
+
+/// Register every variable of a group pattern in the frame: nested groups,
+/// `FILTER`/`BIND` expressions, `MINUS` and `EXISTS` patterns included.
+/// Only a sub-select's projected variables join the outer scope.
+pub(crate) fn collect_vars(group: &GroupPattern, frame: &mut Frame) {
+    for el in &group.elements {
+        match el {
+            PatternElement::Triple(t) => {
+                for v in pattern_vars(t) {
+                    frame.add(v);
+                }
+            }
+            PatternElement::Filter(e) => collect_expr_vars(e, frame),
+            PatternElement::Optional(g) | PatternElement::Group(g) | PatternElement::Minus(g) => {
+                collect_vars(g, frame)
+            }
+            PatternElement::Union(arms) => arms.iter().for_each(|arm| collect_vars(arm, frame)),
+            PatternElement::Bind(e, v) => {
+                collect_expr_vars(e, frame);
+                frame.add(v);
+            }
+            PatternElement::Values(vars, _) => vars.iter().for_each(|v| frame.add(v)),
+            PatternElement::SubSelect(sub) => {
+                projected_names(sub).iter().for_each(|v| frame.add(v))
+            }
+        }
+    }
+}
+
+/// Register an expression's variables, descending into `EXISTS` patterns.
+fn collect_expr_vars(e: &Expr, frame: &mut Frame) {
+    let mut vars = Vec::new();
+    e.variables(&mut vars);
+    vars.iter().for_each(|v| frame.add(v));
+    for_each_exists(e, &mut |g| collect_vars(g, frame));
+}
+
+/// Call `f` on every `EXISTS` pattern of an expression.
+fn for_each_exists<'e>(e: &'e Expr, f: &mut dyn FnMut(&'e GroupPattern)) {
+    match e {
+        Expr::Exists(g, _) => f(g),
+        Expr::Or(a, b) | Expr::And(a, b) | Expr::Compare(a, _, b) | Expr::Arith(a, _, b) => {
+            for_each_exists(a, f);
+            for_each_exists(b, f);
+        }
+        Expr::Not(x) | Expr::Neg(x) | Expr::Aggregate(_, _, Some(x)) => for_each_exists(x, f),
+        Expr::In(x, list, _) => {
+            for_each_exists(x, f);
+            list.iter().for_each(|item| for_each_exists(item, f));
+        }
+        Expr::Call(_, args) => args.iter().for_each(|a| for_each_exists(a, f)),
+        Expr::Var(_) | Expr::Const(_) | Expr::Aggregate(_, _, None) => {}
+    }
+}
+
+/// The variables of one triple pattern, subject to object.
+fn pattern_vars(t: &TriplePattern) -> impl Iterator<Item = &str> {
+    let p = match &t.predicate {
+        PathOrVar::Var(v) => Some(v.as_str()),
+        PathOrVar::Path(_) => None,
+    };
+    [t.subject.as_var(), p, t.object.as_var()].into_iter().flatten()
+}
+
+/// The variables a group binds, in document order: what `SELECT *`
+/// projects (SPARQL 1.1 §18.2.1). Variables that occur only in a `FILTER`,
+/// a `MINUS` or an `EXISTS` pattern are not in scope.
+fn in_scope_vars(group: &GroupPattern, out: &mut Vec<String>) {
+    let add = |v: &str, out: &mut Vec<String>| {
+        if !out.iter().any(|n| n == v) {
+            out.push(v.to_owned());
+        }
+    };
+    for el in &group.elements {
+        match el {
+            PatternElement::Triple(t) => pattern_vars(t).for_each(|v| add(v, out)),
+            PatternElement::Optional(g) | PatternElement::Group(g) => in_scope_vars(g, out),
+            PatternElement::Union(arms) => arms.iter().for_each(|arm| in_scope_vars(arm, out)),
+            PatternElement::Bind(_, v) => add(v, out),
+            PatternElement::Values(vars, _) => vars.iter().for_each(|v| add(v, out)),
+            PatternElement::SubSelect(sub) => projected_names(sub).iter().for_each(|v| add(v, out)),
+            PatternElement::Filter(_) | PatternElement::Minus(_) => {}
+        }
+    }
+}
+
+/// The output column names of a (sub-)select.
+fn projected_names(q: &SelectQuery) -> Vec<String> {
+    match &q.projection {
+        Projection::Items(items) => items.iter().map(|it| it.alias.clone()).collect(),
+        Projection::Star => {
+            let mut out = Vec::new();
+            in_scope_vars(&q.where_, &mut out);
+            out
+        }
+    }
+}
+
+/// Evaluation options (the join-order ablation switch plus resource
+/// budgets and the execution policy).
+#[derive(Debug, Clone)]
+pub struct EvalOptions {
+    /// Reorder BGP patterns by estimated selectivity (default true).
+    pub reorder_bgp: bool,
+    /// Cooperative resource limits (default: unlimited).
+    pub limits: EvalLimits,
+    /// Execution policy: worker threads for the morsel runtime, plus
+    /// optional deadline/memory/cancel knobs merged into [`Self::limits`]
+    /// (the tighter value wins) — see [`EvalOptions::effective_limits`].
+    pub policy: ExecPolicy,
+}
+
+impl Default for EvalOptions {
+    fn default() -> Self {
+        EvalOptions { reorder_bgp: true, limits: EvalLimits::unlimited(), policy: ExecPolicy::new() }
+    }
+}
+
+impl EvalOptions {
+    /// The limits actually enforced: [`Self::limits`] with the policy's
+    /// deadline/memory/cancel folded in. Where both specify an axis the
+    /// tighter bound wins; a cancel flag on the limits takes precedence
+    /// (it is already wired to a caller).
+    pub fn effective_limits(&self) -> EvalLimits {
+        let mut l = self.limits.clone();
+        if let Some(d) = self.policy.deadline {
+            l.deadline = Some(l.deadline.map_or(d, |e| e.min(d)));
+        }
+        if let Some(m) = self.policy.max_memory_bytes {
+            l.max_memory_bytes = Some(l.max_memory_bytes.map_or(m, |e| e.min(m)));
+        }
+        if l.cancel.is_none() {
+            l.cancel = self.policy.cancel.clone();
+        }
+        l
+    }
+}
 
 // ---- plan structure --------------------------------------------------------
 
@@ -68,17 +255,49 @@ pub(crate) enum CPred {
 }
 
 /// One operator of the physical plan. `Input` is the leaf that consumes
-/// whatever batch the parent feeds in (the seed row at the root, the outer
-/// batch inside `OPTIONAL`/`UNION` subtrees).
+/// whatever batch the parent feeds in (the seed row at a scope's root, the
+/// outer batch inside `OPTIONAL`/`UNION`/`EXISTS` subtrees).
 #[derive(Debug)]
 pub(crate) enum Node {
     Input,
     Join { input: Box<Node>, s: CSlot, p: CPred, o: CSlot, op: usize },
+    /// A non-IRI property path between two positions.
+    Path { input: Box<Node>, s: CSlot, path: PropertyPath, o: CSlot, op: usize },
     Filter { input: Box<Node>, exprs: Vec<Expr>, op: usize },
+    /// `FILTER [NOT] EXISTS`: keep the rows the inner pattern does (not)
+    /// extend.
+    Exists { input: Box<Node>, inner: Box<Node>, negated: bool, op: usize },
     Bind { input: Box<Node>, expr: Expr, slot: usize, op: usize },
     Values { input: Box<Node>, slots: Vec<usize>, data: Vec<Vec<Option<Term>>>, op: usize },
     Optional { input: Box<Node>, inner: Box<Node>, op: usize },
     Union { input: Box<Node>, arms: Vec<Node>, op: usize },
+    /// `MINUS`: a hash anti-join on the `shared` slots (those both sides
+    /// may bind) against the inner pattern, run once from the seed row.
+    Minus { input: Box<Node>, inner: Box<Node>, shared: Vec<usize>, op: usize },
+    /// A nested sub-select; its output columns join into the frame as
+    /// `(outer slot, column)` pairs.
+    SubSelect { input: Box<Node>, scope: Box<Scope>, cols: Vec<(usize, usize)>, op: usize },
+}
+
+/// What a scope hands back once its pattern has run.
+#[derive(Debug)]
+pub(crate) enum Output {
+    /// `SELECT`: projection or grouping, then the solution modifiers.
+    Select { query: Box<SelectQuery>, items: Vec<SelectItem>, grouped: bool },
+    /// `CONSTRUCT`, `ASK` and update `WHERE`: every frame slot, as stored.
+    Bindings,
+}
+
+/// One query scope: its frame, operator tree and output stage.
+#[derive(Debug)]
+pub(crate) struct Scope {
+    frame: Frame,
+    root: Node,
+    /// `EXISTS` patterns nested inside expressions, compiled once with
+    /// their operator ids; an expression runs one on a one-row batch.
+    exists: Vec<(GroupPattern, usize, Node)>,
+    output: Output,
+    output_op: usize,
 }
 
 /// Static description of one operator (label + compile-time estimate).
@@ -86,26 +305,22 @@ pub(crate) enum Node {
 pub struct OpMeta {
     /// Human-readable operator label, e.g. `IndexJoin ?x <p> ?o`.
     pub label: String,
-    /// Operator kind: `join`, `filter`, `bind`, `values`, `optional`,
-    /// `union`, `select`.
+    /// Operator kind: `join`, `path`, `filter`, `exists`, `bind`, `values`,
+    /// `optional`, `union`, `minus`, `subselect`, `select`.
     pub kind: &'static str,
-    /// Compile-time cardinality estimate, where one exists (joins).
+    /// Compile-time cardinality estimate, where one exists (joins, paths).
     pub estimate: Option<f64>,
 }
 
-/// A compiled physical plan for one `SELECT` query.
+/// A compiled physical plan for one query.
 #[derive(Debug)]
 pub struct PhysicalPlan {
-    pub(crate) root: Node,
-    pub(crate) frame: Frame,
-    /// Operator metadata indexed by operator id.
+    pub(crate) scope: Scope,
+    /// Operator metadata indexed by operator id, across nested scopes.
     pub(crate) ops: Vec<OpMeta>,
-    /// Static nesting depth of the WHERE clause (for the recursion budget).
+    /// Static nesting depth, sub-selects and `EXISTS` included (for the
+    /// recursion budget).
     pub(crate) depth: u32,
-    /// Operator id of the final projection/aggregation stage.
-    pub(crate) select_op: usize,
-    /// Whether the final stage groups and aggregates.
-    pub(crate) grouped: bool,
 }
 
 impl PhysicalPlan {
@@ -152,153 +367,281 @@ pub struct ExecStats {
 }
 
 /// Render the plan as an indented operator tree, one operator per line,
-/// with estimates and (when `stats` is given) observed cardinalities.
+/// with estimates and (when `stats` is given) observed cardinalities. A
+/// scope's output stage closes its tree one level out.
 pub(crate) fn describe_plan(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> Vec<String> {
-    fn line(plan: &PhysicalPlan, stats: Option<&ExecStats>, op: usize, indent: usize) -> String {
-        let meta = &plan.ops[op];
-        let mut s = format!("{}{}", "  ".repeat(indent), meta.label);
-        if let Some(est) = meta.estimate {
-            s.push_str(&format!(" est={est}"));
-        }
-        if let Some(st) = stats {
-            s.push_str(&format!(" rows={}", st.operators[op].rows_out));
-        }
-        s
+    struct Describe<'a> {
+        plan: &'a PhysicalPlan,
+        stats: Option<&'a ExecStats>,
+        out: Vec<String>,
     }
-    fn walk(
-        plan: &PhysicalPlan,
-        stats: Option<&ExecStats>,
-        node: &Node,
-        indent: usize,
-        out: &mut Vec<String>,
-    ) {
-        match node {
-            Node::Input => {}
-            Node::Join { input, op, .. }
-            | Node::Filter { input, op, .. }
-            | Node::Bind { input, op, .. }
-            | Node::Values { input, op, .. } => {
-                walk(plan, stats, input, indent, out);
-                out.push(line(plan, stats, *op, indent));
+    impl Describe<'_> {
+        fn line(&mut self, op: usize, indent: usize) {
+            let meta = &self.plan.ops[op];
+            let mut s = format!("{}{}", "  ".repeat(indent), meta.label);
+            if let Some(est) = meta.estimate {
+                s.push_str(&format!(" est={est}"));
             }
-            Node::Optional { input, inner, op } => {
-                walk(plan, stats, input, indent, out);
-                out.push(line(plan, stats, *op, indent));
-                walk(plan, stats, inner, indent + 1, out);
+            if let Some(st) = self.stats {
+                s.push_str(&format!(" rows={}", st.operators[op].rows_out));
             }
-            Node::Union { input, arms, op } => {
-                walk(plan, stats, input, indent, out);
-                out.push(line(plan, stats, *op, indent));
-                for arm in arms {
-                    walk(plan, stats, arm, indent + 1, out);
+            self.out.push(s);
+        }
+        fn scope(&mut self, scope: &Scope, indent: usize) {
+            self.walk(&scope.root, indent + 1);
+            for (_, op, node) in &scope.exists {
+                self.line(*op, indent + 1);
+                self.walk(node, indent + 2);
+            }
+            self.line(scope.output_op, indent);
+        }
+        fn walk(&mut self, node: &Node, indent: usize) {
+            match node {
+                Node::Input => {}
+                Node::Join { input, op, .. }
+                | Node::Path { input, op, .. }
+                | Node::Filter { input, op, .. }
+                | Node::Bind { input, op, .. }
+                | Node::Values { input, op, .. } => {
+                    self.walk(input, indent);
+                    self.line(*op, indent);
+                }
+                Node::Optional { input, inner, op }
+                | Node::Exists { input, inner, op, .. }
+                | Node::Minus { input, inner, op, .. } => {
+                    self.walk(input, indent);
+                    self.line(*op, indent);
+                    self.walk(inner, indent + 1);
+                }
+                Node::Union { input, arms, op } => {
+                    self.walk(input, indent);
+                    self.line(*op, indent);
+                    arms.iter().for_each(|arm| self.walk(arm, indent + 1));
+                }
+                Node::SubSelect { input, scope, op, .. } => {
+                    self.walk(input, indent);
+                    self.line(*op, indent);
+                    self.scope(scope, indent + 1);
                 }
             }
         }
     }
-    let mut out = Vec::new();
-    walk(plan, stats, &plan.root, 1, &mut out);
-    out.push(line(plan, stats, plan.select_op, 0));
+    let mut d = Describe { plan, stats, out: Vec::new() };
+    d.scope(&plan.scope, 0);
     if let Some(st) = stats {
         let mut rt = format!("runtime: threads={} morsels={}", st.threads_used, st.morsels);
         if st.parallel_groupby {
             rt.push_str(" parallel-groupby");
         }
-        out.push(rt);
+        d.out.push(rt);
     }
-    out
+    d.out
 }
 
 // ---- compilation -----------------------------------------------------------
 
-/// Compile a `SELECT` query to a physical plan, or `None` when it uses a
-/// construct outside the batched fragment (the caller falls back to the
-/// term-space evaluator).
+/// Compile a `SELECT` query to a physical plan.
 pub(crate) fn compile_select(
     q: &SelectQuery,
     store: &Store,
     options: &EvalOptions,
-) -> Option<PhysicalPlan> {
-    let mut frame = Frame::default();
-    Evaluator::collect_vars(&q.where_, &mut frame);
-    let mut c = Compiler { store, frame: &frame, reorder: options.reorder_bgp, ops: Vec::new() };
-    let mut bound = vec![false; frame.len()];
-    let mut depth = 0u32;
-    let root = c.compile_group(&q.where_, Node::Input, &mut bound, 1, &mut depth)?;
-    let items = select_items(q, &frame);
-    let has_agg = items.iter().any(|it| it.expr.has_aggregate())
-        || q.having.as_ref().is_some_and(|h| h.has_aggregate());
-    let grouped = !q.group_by.is_empty() || has_agg;
-    let select_op = c.op(
-        if grouped {
-            format!("GroupAggregate(keys={}, items={})", q.group_by.len(), items.len())
-        } else {
-            format!("Project({} items)", items.len())
-        },
-        "select",
-        None,
-    );
-    let ops = c.ops;
-    Some(PhysicalPlan { root, frame, ops, depth, select_op, grouped })
+) -> Result<PhysicalPlan, SparqlError> {
+    let mut c = Compiler::new(store, options);
+    let scope = c.scope(&q.where_, Some(q), None, 1)?;
+    Ok(PhysicalPlan { scope, ops: c.ops, depth: c.depth })
 }
 
-/// The effective projection items (expanding `SELECT *` over the frame).
-fn select_items(q: &SelectQuery, frame: &Frame) -> Vec<SelectItem> {
-    match &q.projection {
-        Projection::Star => frame
-            .names()
-            .iter()
-            .map(|v| SelectItem { expr: Expr::Var(v.clone()), alias: v.clone() })
-            .collect(),
-        Projection::Items(items) => items.clone(),
+/// Compile a bare `WHERE` pattern (`CONSTRUCT`, `ASK`, update `WHERE`) to
+/// a plan whose output is every binding; `label` names the output stage.
+pub(crate) fn compile_pattern(
+    where_: &GroupPattern,
+    label: String,
+    store: &Store,
+    options: &EvalOptions,
+) -> Result<PhysicalPlan, SparqlError> {
+    let mut c = Compiler::new(store, options);
+    let scope = c.scope(where_, None, Some(label), 1)?;
+    Ok(PhysicalPlan { scope, ops: c.ops, depth: c.depth })
+}
+
+/// Compile and run a bare `WHERE` pattern with default options, returning
+/// every binding (update `WHERE` clauses).
+pub(crate) fn run_pattern(where_: &GroupPattern, store: &Store) -> Result<Solutions, SparqlError> {
+    let options = EvalOptions::default();
+    let plan = compile_pattern(where_, "Bindings".to_owned(), store, &options)?;
+    Ok(execute_plan(&plan, store, &options)?.0)
+}
+
+/// Instantiate a triple template once per solution row. Rows that leave a
+/// position unbound (or a predicate that is not an IRI) produce no triple.
+/// With `fresh_blanks` (`CONSTRUCT`), template blank nodes become fresh
+/// blank nodes per row, stable within the row.
+pub(crate) fn instantiate(
+    template: &[TriplePattern],
+    sols: &Solutions,
+    fresh_blanks: bool,
+) -> Vec<Triple> {
+    let mut out = Vec::new();
+    let mut counter = 0usize;
+    for row in sols.rows() {
+        let mut blanks: HashMap<String, Term> = HashMap::new();
+        let var = |v: &str| sols.var_index(v).and_then(|i| row[i].clone());
+        let mut term = |tp: &'_ TermPattern| match tp {
+            TermPattern::Var(v) => var(v),
+            TermPattern::Term(Term::Blank(label)) if fresh_blanks => {
+                Some(blanks.entry(label.clone()).or_insert_with(|| {
+                    counter += 1;
+                    Term::blank(format!("c{counter}"))
+                }).clone())
+            }
+            TermPattern::Term(t) => Some(t.clone()),
+        };
+        for tp in template {
+            let p = match &tp.predicate {
+                PathOrVar::Var(v) => var(v),
+                PathOrVar::Path(PropertyPath::Iri(iri)) => Some(Term::iri(iri.clone())),
+                PathOrVar::Path(_) => None,
+            };
+            if let (Some(s), Some(p), Some(o)) = (term(&tp.subject), p, term(&tp.object)) {
+                out.push(Triple::new(s, p, o));
+            }
+        }
     }
+    out
 }
 
 struct Compiler<'a> {
     store: &'a Store,
-    frame: &'a Frame,
     reorder: bool,
     ops: Vec<OpMeta>,
+    depth: u32,
+    /// Frame of the scope being compiled.
+    frame: Frame,
+    /// Expression-nested `EXISTS` patterns of the scope being compiled.
+    exists: Vec<(GroupPattern, usize, Node)>,
 }
 
-impl Compiler<'_> {
+impl<'a> Compiler<'a> {
+    fn new(store: &'a Store, options: &EvalOptions) -> Self {
+        Compiler {
+            store,
+            reorder: options.reorder_bgp,
+            ops: Vec::new(),
+            depth: 0,
+            frame: Frame::default(),
+            exists: Vec::new(),
+        }
+    }
+
     fn op(&mut self, label: String, kind: &'static str, estimate: Option<f64>) -> usize {
         self.ops.push(OpMeta { label, kind, estimate });
         self.ops.len() - 1
     }
 
-    fn compile_group(
+    /// Frame slot of a variable; [`collect_vars`] registered every one.
+    fn slot(&self, v: &str) -> usize {
+        self.frame.index(v).expect("collect_vars registers every variable")
+    }
+
+    /// Compile one scope: a `SELECT` (projection or grouping output) or a
+    /// bare pattern whose output stage is labelled `label`.
+    fn scope(
+        &mut self,
+        where_: &GroupPattern,
+        select: Option<&SelectQuery>,
+        label: Option<String>,
+        level: u32,
+    ) -> Result<Scope, SparqlError> {
+        let outer = (std::mem::take(&mut self.frame), std::mem::take(&mut self.exists));
+        collect_vars(where_, &mut self.frame);
+        let items: Vec<SelectItem> = match select {
+            Some(q) => match &q.projection {
+                Projection::Star => projected_names(q)
+                    .into_iter()
+                    .map(|v| SelectItem { expr: Expr::Var(v.clone()), alias: v })
+                    .collect(),
+                Projection::Items(items) => items.clone(),
+            },
+            None => Vec::new(),
+        };
+        let exprs: Vec<&Expr> = items
+            .iter()
+            .map(|it| &it.expr)
+            .chain(select.into_iter().flat_map(|q| q.group_by.iter().chain(&q.having)))
+            .collect();
+        for e in &exprs {
+            collect_expr_vars(e, &mut self.frame);
+        }
+        if select.is_some_and(|q| q.order_by.iter().any(|o| has_exists(&o.expr))) {
+            return Err(SparqlError::new("EXISTS inside ORDER BY is not supported"));
+        }
+        let mut bound = vec![false; self.frame.len()];
+        let root = self.group(where_, Node::Input, &mut bound, level)?;
+        for e in &exprs {
+            self.nested_exists(e, &bound, level + 1)?;
+        }
+        let grouped = select.is_some_and(|q| !q.group_by.is_empty())
+            || exprs.iter().any(|e| e.has_aggregate());
+        let (output, label) = match select {
+            Some(q) => {
+                let label = if grouped {
+                    format!("GroupAggregate(keys={}, items={})", q.group_by.len(), items.len())
+                } else {
+                    format!("Project({} items)", items.len())
+                };
+                (Output::Select { query: Box::new(q.clone()), items, grouped }, label)
+            }
+            None => (Output::Bindings, label.unwrap_or_default()),
+        };
+        let output_op = self.op(label, "select", None);
+        let frame = std::mem::replace(&mut self.frame, outer.0);
+        let exists = std::mem::replace(&mut self.exists, outer.1);
+        Ok(Scope { frame, root, exists, output, output_op })
+    }
+
+    /// Compile the `EXISTS` patterns nested inside an expression once each,
+    /// seeded with the rows the expression will see.
+    fn nested_exists(&mut self, e: &Expr, bound: &[bool], level: u32) -> Result<(), SparqlError> {
+        let mut groups = Vec::new();
+        for_each_exists(e, &mut |g| groups.push(g));
+        for g in groups {
+            if self.exists.iter().any(|(p, ..)| p == g) {
+                continue;
+            }
+            let node = self.group(g, Node::Input, &mut bound.to_vec(), level)?;
+            let op = self.op("ExistsProbe".to_owned(), "exists", None);
+            self.exists.push((g.clone(), op, node));
+        }
+        Ok(())
+    }
+
+    fn group(
         &mut self,
         g: &GroupPattern,
         input: Node,
         bound: &mut Vec<bool>,
         level: u32,
-        max_depth: &mut u32,
-    ) -> Option<Node> {
-        *max_depth = (*max_depth).max(level);
+    ) -> Result<Node, SparqlError> {
+        self.depth = self.depth.max(level);
         let mut node = input;
-        let mut filters: Vec<Expr> = Vec::new();
+        let mut filters: Vec<&Expr> = Vec::new();
         let els = &g.elements;
         let mut i = 0;
         while i < els.len() {
             match &els[i] {
                 PatternElement::Triple(_) => {
                     let mut bgp: Vec<&TriplePattern> = Vec::new();
-                    while i < els.len() {
-                        if let PatternElement::Triple(t) = &els[i] {
-                            bgp.push(t);
-                            i += 1;
-                        } else {
-                            break;
-                        }
+                    while let Some(PatternElement::Triple(t)) = els.get(i) {
+                        bgp.push(t);
+                        i += 1;
                     }
-                    node = self.compile_bgp(&bgp, node, bound)?;
+                    node = self.bgp(&bgp, node, bound);
                     continue;
                 }
-                PatternElement::Filter(e) => filters.push(e.clone()),
+                PatternElement::Filter(e) => conjuncts(e, &mut filters),
                 PatternElement::Optional(g2) => {
                     let mut inner_bound = bound.clone();
-                    let inner =
-                        self.compile_group(g2, Node::Input, &mut inner_bound, level + 1, max_depth)?;
+                    let inner = self.group(g2, Node::Input, &mut inner_bound, level + 1)?;
                     // after OPTIONAL the inner vars *may* be bound; treating
                     // them as bound only steers later join ordering
                     *bound = inner_bound;
@@ -310,13 +653,7 @@ impl Compiler<'_> {
                     let mut merged = bound.clone();
                     for arm in arms {
                         let mut ab = bound.clone();
-                        arm_nodes.push(self.compile_group(
-                            arm,
-                            Node::Input,
-                            &mut ab,
-                            level + 1,
-                            max_depth,
-                        )?);
+                        arm_nodes.push(self.group(arm, Node::Input, &mut ab, level + 1)?);
                         for (m, b) in merged.iter_mut().zip(&ab) {
                             *m = *m || *b;
                         }
@@ -326,95 +663,143 @@ impl Compiler<'_> {
                     node = Node::Union { input: Box::new(node), arms: arm_nodes, op };
                 }
                 PatternElement::Group(g2) => {
-                    node = self.compile_group(g2, node, bound, level + 1, max_depth)?;
+                    node = self.group(g2, node, bound, level + 1)?;
                 }
                 PatternElement::Bind(e, v) => {
-                    let slot = self.frame.index(v)?;
+                    self.nested_exists(e, bound, level + 1)?;
+                    let slot = self.slot(v);
                     let op = self.op(format!("Bind ?{v}"), "bind", None);
                     bound[slot] = true;
                     node = Node::Bind { input: Box::new(node), expr: e.clone(), slot, op };
                 }
                 PatternElement::Values(vars, data) => {
-                    let slots: Vec<usize> =
-                        vars.iter().map(|v| self.frame.index(v)).collect::<Option<_>>()?;
+                    let slots: Vec<usize> = vars.iter().map(|v| self.slot(v)).collect();
                     for &s in &slots {
                         bound[s] = true;
                     }
                     let op = self.op(format!("Values({} tuples)", data.len()), "values", None);
                     node = Node::Values { input: Box::new(node), slots, data: data.clone(), op };
                 }
-                // outside the batched fragment: fall back to the term-space
-                // evaluator, which implements these
-                PatternElement::SubSelect(_) | PatternElement::Minus(_) => return None,
+                PatternElement::SubSelect(sub) => {
+                    let scope = self.scope(&sub.where_, Some(sub), None, level + 1)?;
+                    let vars = projected_names(sub);
+                    let cols: Vec<(usize, usize)> =
+                        vars.iter().enumerate().map(|(j, v)| (self.slot(v), j)).collect();
+                    for &(c, _) in &cols {
+                        bound[c] = true;
+                    }
+                    let label = format!("SubSelect(?{})", vars.join(" ?"));
+                    let op = self.op(label, "subselect", None);
+                    let scope = Box::new(scope);
+                    node = Node::SubSelect { input: Box::new(node), scope, cols, op };
+                }
+                PatternElement::Minus(g2) => {
+                    // the inner pattern runs from the seed row, not the outer rows
+                    let mut inner_bound = vec![false; bound.len()];
+                    let inner = self.group(g2, Node::Input, &mut inner_bound, level + 1)?;
+                    let shared: Vec<usize> =
+                        (0..bound.len()).filter(|&c| bound[c] && inner_bound[c]).collect();
+                    let names: Vec<&str> =
+                        shared.iter().map(|&c| self.frame.names()[c].as_str()).collect();
+                    let op = self.op(format!("Minus(on ?{})", names.join(" ?")), "minus", None);
+                    let inner = Box::new(inner);
+                    node = Node::Minus { input: Box::new(node), inner, shared, op };
+                }
             }
             i += 1;
         }
-        if !filters.is_empty() {
-            let op = self.op(format!("Filter({} exprs)", filters.len()), "filter", None);
-            node = Node::Filter { input: Box::new(node), exprs: filters, op };
+        // the group's filters apply at its end: plain conjuncts first, then
+        // one semi- or anti-join per top-level EXISTS conjunct
+        let (probes, plain): (Vec<&Expr>, Vec<&Expr>) =
+            filters.into_iter().partition(|e| matches!(e, Expr::Exists(..)));
+        if !plain.is_empty() {
+            for e in &plain {
+                self.nested_exists(e, bound, level + 1)?;
+            }
+            let op = self.op(format!("Filter({} exprs)", plain.len()), "filter", None);
+            let exprs = plain.into_iter().cloned().collect();
+            node = Node::Filter { input: Box::new(node), exprs, op };
         }
-        Some(node)
+        for e in probes {
+            let Expr::Exists(g2, negated) = e else { unreachable!("partitioned on EXISTS") };
+            let inner = self.group(g2, Node::Input, &mut bound.clone(), level + 1)?;
+            let label = if *negated { "AntiJoin(NOT EXISTS)" } else { "SemiJoin(EXISTS)" };
+            let op = self.op(label.to_owned(), "exists", None);
+            let (inner, negated) = (Box::new(inner), *negated);
+            node = Node::Exists { input: Box::new(node), inner, negated, op };
+        }
+        Ok(node)
     }
 
-    fn compile_bgp(
-        &mut self,
-        patterns: &[&TriplePattern],
-        input: Node,
-        bound: &mut [bool],
-    ) -> Option<Node> {
-        for tp in patterns {
-            if matches!(&tp.predicate, PathOrVar::Path(p) if !matches!(p, PropertyPath::Iri(_))) {
-                return None; // property paths stay on the term-space engine
-            }
-        }
+    fn bgp(&mut self, patterns: &[&TriplePattern], input: Node, bound: &mut [bool]) -> Node {
         let order = if self.reorder {
-            plan_order(self.store, patterns, self.frame, bound)
+            plan_order(self.store, patterns, &self.frame, bound)
         } else {
             (0..patterns.len()).collect()
         };
         let mut node = input;
         for idx in order {
             let tp = patterns[idx];
-            let est = estimate_pattern(self.store, tp);
-            let s = self.cslot(&tp.subject, bound)?;
-            let o = self.cslot(&tp.object, bound)?;
-            let p = match &tp.predicate {
-                PathOrVar::Var(v) => {
-                    let slot = self.frame.index(v)?;
-                    bound[slot] = true;
-                    CPred::Var(slot)
+            let est = Some(estimate_pattern(self.store, tp));
+            let s = self.cslot(&tp.subject, bound);
+            let o = self.cslot(&tp.object, bound);
+            let input = Box::new(node);
+            node = match &tp.predicate {
+                PathOrVar::Path(PropertyPath::Iri(iri)) => {
+                    let p = self.store.lookup_iri(iri).map_or(CPred::Missing, CPred::Const);
+                    let op = self.op(format!("IndexJoin {}", fmt_pattern(tp)), "join", est);
+                    Node::Join { input, s, p, o, op }
                 }
-                PathOrVar::Path(PropertyPath::Iri(iri)) => match self.store.lookup_iri(iri) {
-                    Some(id) => CPred::Const(id),
-                    None => CPred::Missing,
-                },
-                PathOrVar::Path(_) => unreachable!("checked above"),
+                PathOrVar::Var(v) => {
+                    let slot = self.slot(v);
+                    bound[slot] = true;
+                    let op = self.op(format!("IndexJoin {}", fmt_pattern(tp)), "join", est);
+                    Node::Join { input, s, p: CPred::Var(slot), o, op }
+                }
+                PathOrVar::Path(path) => {
+                    let op = self.op(format!("PathJoin {}", fmt_pattern(tp)), "path", est);
+                    Node::Path { input, s, path: path.clone(), o, op }
+                }
             };
-            let op = self.op(format!("IndexJoin {}", fmt_pattern(tp)), "join", Some(est));
-            node = Node::Join { input: Box::new(node), s, p, o, op };
         }
-        Some(node)
+        node
     }
 
-    fn cslot(&self, t: &TermPattern, bound: &mut [bool]) -> Option<CSlot> {
-        Some(match t {
-            TermPattern::Term(term) => match self.store.lookup(term) {
-                Some(id) => CSlot::Const(id),
-                None => CSlot::Missing,
-            },
+    fn cslot(&self, t: &TermPattern, bound: &mut [bool]) -> CSlot {
+        match t {
+            TermPattern::Term(term) => self.store.lookup(term).map_or(CSlot::Missing, CSlot::Const),
             TermPattern::Var(v) => {
-                let slot = self.frame.index(v)?;
+                let slot = self.slot(v);
                 bound[slot] = true;
                 CSlot::Var(slot)
             }
-        })
+        }
     }
 }
 
-/// The same greedy ordering as the term-space planner, driven by the static
-/// may-be-bound variable set instead of a sample row: start from the most
-/// selective pattern, then repeatedly pick the cheapest pattern connected
-/// to the bound variables (100× bonus against cartesian products).
+/// Split a filter into its top-level `&&` conjuncts: a row passes the
+/// filter exactly when it passes each of them.
+fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::And(a, b) => {
+            conjuncts(a, out);
+            conjuncts(b, out);
+        }
+        _ => out.push(e),
+    }
+}
+
+fn has_exists(e: &Expr) -> bool {
+    let mut found = false;
+    for_each_exists(e, &mut |_| found = true);
+    found
+}
+
+/// Greedy join ordering driven by the static may-be-bound variable set:
+/// while some variable is bound, patterns connected to one run first (an
+/// index probe per row, not a cartesian product); ties go to the smallest
+/// estimate. A pattern run below an `OPTIONAL` or `EXISTS` sees the outer
+/// row's variables as bound from the start.
 fn plan_order(
     store: &Store,
     patterns: &[&TriplePattern],
@@ -423,45 +808,26 @@ fn plan_order(
 ) -> Vec<usize> {
     let mut bound_vars = bound.to_vec();
     let estimates: Vec<f64> = patterns.iter().map(|tp| estimate_pattern(store, tp)).collect();
-    let pattern_vars: Vec<Vec<usize>> = patterns
+    let pattern_slots: Vec<Vec<usize>> = patterns
         .iter()
-        .map(|tp| {
-            let mut v = Vec::new();
-            if let Some(name) = tp.subject.as_var() {
-                if let Some(i) = frame.index(name) {
-                    v.push(i);
-                }
-            }
-            if let PathOrVar::Var(name) = &tp.predicate {
-                if let Some(i) = frame.index(name) {
-                    v.push(i);
-                }
-            }
-            if let Some(name) = tp.object.as_var() {
-                if let Some(i) = frame.index(name) {
-                    v.push(i);
-                }
-            }
-            v
-        })
+        .map(|tp| pattern_vars(tp).filter_map(|v| frame.index(v)).collect())
         .collect();
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut order = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
+        let any_bound = bound_vars.iter().any(|&b| b);
+        let unconnected = |i: usize| any_bound && !pattern_slots[i].iter().any(|&v| bound_vars[v]);
         let best = remaining
             .iter()
             .copied()
             .min_by(|&a, &b| {
-                let score = |i: usize| {
-                    let connected = pattern_vars[i].iter().any(|&v| bound_vars[v]);
-                    let bonus = if connected || order.is_empty() { 0.01 } else { 1.0 };
-                    estimates[i] * bonus
-                };
-                score(a).partial_cmp(&score(b)).unwrap_or(std::cmp::Ordering::Equal)
+                unconnected(a).cmp(&unconnected(b)).then(
+                    estimates[a].partial_cmp(&estimates[b]).unwrap_or(std::cmp::Ordering::Equal),
+                )
             })
             .expect("non-empty remaining");
         remaining.retain(|&i| i != best);
-        for &v in &pattern_vars[best] {
+        for &v in &pattern_slots[best] {
             bound_vars[v] = true;
         }
         order.push(best);
@@ -469,8 +835,8 @@ fn plan_order(
     order
 }
 
-/// Static cardinality estimate for one pattern (constants only), shared
-/// with the term-space planner via [`Store::count_matching`].
+/// Static cardinality estimate for one pattern (constants only, capped
+/// scan via [`Store::count_matching`]).
 pub(crate) fn estimate_pattern(store: &Store, tp: &TriplePattern) -> f64 {
     let s = match &tp.subject {
         TermPattern::Term(t) => match store.lookup(t) {
@@ -504,10 +870,20 @@ fn fmt_pattern(tp: &TriplePattern) -> String {
             TermPattern::Term(t) => t.display_name(),
         }
     }
+    fn path(p: &PropertyPath) -> String {
+        match p {
+            PropertyPath::Iri(iri) => Term::iri(iri.clone()).display_name(),
+            PropertyPath::Inverse(x) => format!("^{}", path(x)),
+            PropertyPath::Sequence(a, b) => format!("{}/{}", path(a), path(b)),
+            PropertyPath::Alternative(a, b) => format!("({}|{})", path(a), path(b)),
+            PropertyPath::ZeroOrMore(x) => format!("{}*", path(x)),
+            PropertyPath::OneOrMore(x) => format!("{}+", path(x)),
+            PropertyPath::ZeroOrOne(x) => format!("{}?", path(x)),
+        }
+    }
     let p = match &tp.predicate {
         PathOrVar::Var(v) => format!("?{v}"),
-        PathOrVar::Path(PropertyPath::Iri(iri)) => Term::iri(iri.clone()).display_name(),
-        PathOrVar::Path(_) => "<path>".to_owned(),
+        PathOrVar::Path(p) => path(p),
     };
     format!("{} {} {}", pos(&tp.subject), p, pos(&tp.object))
 }
@@ -522,10 +898,8 @@ struct AggSpec {
     inner: Option<Expr>,
 }
 
-/// Collect the distinct aggregate calls of an expression. `Call` and
-/// `EXISTS` arguments are *not* descended into: the term-space engine
-/// treats them as leaves evaluated on the representative row, and the
-/// batched engine mirrors that.
+/// Collect the distinct aggregate calls of an expression (not inside
+/// `EXISTS` patterns, which see rows, not groups).
 fn collect_agg_specs(e: &Expr, out: &mut Vec<AggSpec>) {
     match e {
         Expr::Aggregate(op, distinct, inner) => {
@@ -545,40 +919,49 @@ fn collect_agg_specs(e: &Expr, out: &mut Vec<AggSpec>) {
                 collect_agg_specs(item, out);
             }
         }
-        Expr::Var(_) | Expr::Const(_) | Expr::Call(..) | Expr::Exists(..) => {}
+        Expr::Call(_, args) => args.iter().for_each(|a| collect_agg_specs(a, out)),
+        Expr::Var(_) | Expr::Const(_) | Expr::Exists(..) => {}
     }
 }
 
-/// Streaming accumulator for one aggregate over one group. The update and
-/// finalize rules replicate the term-space `compute_aggregate` exactly,
-/// including its poisoning behaviour (a failing `add` turns the whole
-/// SUM/AVG into an unbound result).
+/// Streaming accumulator for one aggregate over one group. A failing
+/// addition poisons SUM/AVG into an unbound result; MIN and MAX keep the
+/// first of equal or incomparable values.
 #[derive(Debug, Clone)]
 enum AggState {
     Count(i64),
-    /// `None` = poisoned by a failed addition.
-    Sum(Option<Value>),
-    Avg { acc: Option<Value>, n: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
+    /// SUM (or AVG, dividing by `n`); `acc` is `None` once poisoned.
+    Sum { acc: Option<Value>, n: i64, avg: bool },
+    /// MIN (`want` = less) or MAX (`want` = greater).
+    Best { best: Option<Value>, want: std::cmp::Ordering },
     Sample(Option<Value>),
     Concat(Vec<String>),
-    /// DISTINCT aggregates buffer first-occurrence values and replay the
-    /// non-streaming fold at finalize, for exact parity.
+    /// DISTINCT aggregates buffer first-occurrence values and fold them at
+    /// finalize.
     Distinct { op: AggregateOp, seen: HashSet<Term>, values: Vec<Value> },
+}
+
+/// The kept value unless the challenger compares strictly `want`-wards.
+fn better(kept: Option<Value>, v: Value, want: std::cmp::Ordering) -> Option<Value> {
+    match kept {
+        Some(k) if v.compare(&k) != Some(want) => Some(k),
+        _ => Some(v),
+    }
 }
 
 impl AggState {
     fn new(spec: &AggSpec) -> AggState {
+        use std::cmp::Ordering::{Greater, Less};
         if spec.distinct {
             return AggState::Distinct { op: spec.op, seen: HashSet::new(), values: Vec::new() };
         }
+        let sum = |avg| AggState::Sum { acc: Some(Value::Int(0)), n: 0, avg };
         match spec.op {
             AggregateOp::Count => AggState::Count(0),
-            AggregateOp::Sum => AggState::Sum(Some(Value::Int(0))),
-            AggregateOp::Avg => AggState::Avg { acc: Some(Value::Int(0)), n: 0 },
-            AggregateOp::Min => AggState::Min(None),
-            AggregateOp::Max => AggState::Max(None),
+            AggregateOp::Sum => sum(false),
+            AggregateOp::Avg => sum(true),
+            AggregateOp::Min => AggState::Best { best: None, want: Less },
+            AggregateOp::Max => AggState::Best { best: None, want: Greater },
             AggregateOp::Sample => AggState::Sample(None),
             AggregateOp::GroupConcat => AggState::Concat(Vec::new()),
         }
@@ -587,45 +970,13 @@ impl AggState {
     fn update(&mut self, v: Value) {
         match self {
             AggState::Count(n) => *n += 1,
-            AggState::Sum(acc) => {
-                if let Some(a) = acc.take() {
-                    *acc = a.add(&v);
-                }
-            }
-            AggState::Avg { acc, n } => {
-                if let Some(a) = acc.take() {
-                    *acc = a.add(&v);
-                }
+            AggState::Sum { acc, n, .. } => {
+                *acc = acc.take().and_then(|a| a.add(&v));
                 *n += 1;
             }
-            AggState::Min(best) => {
-                *best = Some(match best.take() {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Less) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            AggState::Max(best) => {
-                *best = Some(match best.take() {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Greater) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
+            AggState::Best { best, want } => *best = better(best.take(), v, *want),
             AggState::Sample(s) => {
-                if s.is_none() {
-                    *s = Some(v);
-                }
+                s.get_or_insert(v);
             }
             AggState::Concat(parts) => parts.push(v.render()),
             AggState::Distinct { seen, values, .. } => {
@@ -640,47 +991,14 @@ impl AggState {
     fn merge(&mut self, other: AggState) {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Sum(a), AggState::Sum(b)) => {
-                *a = match (a.take(), b) {
-                    (Some(x), Some(y)) => x.add(&y),
-                    _ => None,
-                };
+            (AggState::Sum { acc, n, .. }, AggState::Sum { acc: b, n: bn, .. }) => {
+                *acc = acc.take().zip(b).and_then(|(x, y)| x.add(&y));
+                *n += bn;
             }
-            (AggState::Avg { acc: aa, n: an }, AggState::Avg { acc: ba, n: bn }) => {
-                *aa = match (aa.take(), ba) {
-                    (Some(x), Some(y)) => x.add(&y),
-                    _ => None,
-                };
-                *an += bn;
+            (AggState::Best { best, want }, AggState::Best { best: Some(b), .. }) => {
+                *best = better(best.take(), b, *want);
             }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(match a.take() {
-                        None => bv,
-                        Some(av) => {
-                            if bv.compare(&av) == Some(std::cmp::Ordering::Less) {
-                                bv
-                            } else {
-                                av
-                            }
-                        }
-                    });
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(match a.take() {
-                        None => bv,
-                        Some(av) => {
-                            if bv.compare(&av) == Some(std::cmp::Ordering::Greater) {
-                                bv
-                            } else {
-                                av
-                            }
-                        }
-                    });
-                }
-            }
+            (AggState::Best { .. }, AggState::Best { best: None, .. }) => {}
             (AggState::Sample(a), AggState::Sample(b)) => {
                 if a.is_none() {
                     *a = b;
@@ -701,84 +1019,24 @@ impl AggState {
     fn finalize(self) -> Option<Value> {
         match self {
             AggState::Count(n) => Some(Value::Int(n)),
-            AggState::Sum(acc) => acc,
-            AggState::Avg { acc, n } => {
-                if n == 0 {
-                    None
-                } else {
-                    acc?.div(&Value::Int(n))
-                }
-            }
-            AggState::Min(best) | AggState::Max(best) | AggState::Sample(best) => best,
+            AggState::Sum { acc, avg: false, .. } => acc,
+            AggState::Sum { n: 0, .. } => None,
+            AggState::Sum { acc, n, .. } => acc?.div(&Value::Int(n)),
+            AggState::Best { best, .. } | AggState::Sample(best) => best,
             AggState::Concat(parts) => Some(Value::Str(parts.join(" "), None)),
             AggState::Distinct { op, values, .. } => aggregate_values(op, values),
         }
     }
 }
 
-/// The non-streaming aggregate fold of the term-space engine, used to
-/// finalize DISTINCT accumulators over their deduplicated value list —
-/// and, via [`crate::views::aggregate_value_list`], by materialized view
-/// tables so their answers replicate engine aggregation exactly.
+/// The aggregate of a whole value list: used to finalize DISTINCT
+/// accumulators over their deduplicated values and, via
+/// [`crate::views::aggregate_value_list`], by materialized view tables so
+/// their answers replicate engine aggregation exactly.
 pub(crate) fn aggregate_values(op: AggregateOp, values: Vec<Value>) -> Option<Value> {
-    match op {
-        AggregateOp::Count => Some(Value::Int(values.len() as i64)),
-        AggregateOp::Sum => {
-            let mut acc = Value::Int(0);
-            for v in &values {
-                acc = acc.add(v)?;
-            }
-            Some(acc)
-        }
-        AggregateOp::Avg => {
-            if values.is_empty() {
-                return None;
-            }
-            let n = values.len() as i64;
-            let mut acc = Value::Int(0);
-            for v in &values {
-                acc = acc.add(v)?;
-            }
-            acc.div(&Value::Int(n))
-        }
-        AggregateOp::Min => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Less) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best
-        }
-        AggregateOp::Max => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        if v.compare(&b) == Some(std::cmp::Ordering::Greater) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best
-        }
-        AggregateOp::Sample => values.into_iter().next(),
-        AggregateOp::GroupConcat => {
-            let joined = values.iter().map(Value::render).collect::<Vec<_>>().join(" ");
-            Some(Value::Str(joined, None))
-        }
-    }
+    let mut state = AggState::new(&AggSpec { op, distinct: false, inner: None });
+    values.into_iter().for_each(|v| state.update(v));
+    state.finalize()
 }
 
 /// One group under construction: canonical key, first source row (the
@@ -817,20 +1075,20 @@ enum SimpleIn {
 
 // ---- execution -------------------------------------------------------------
 
-/// Run a compiled plan. Returns the solutions plus per-operator statistics.
+/// Run a compiled plan. Returns the solutions (for `SELECT`, the projected
+/// result; otherwise every binding) plus per-operator statistics.
 pub(crate) fn execute_plan(
     plan: &PhysicalPlan,
-    q: &SelectQuery,
     store: &Store,
     options: &EvalOptions,
 ) -> Result<(Solutions, ExecStats), SparqlError> {
     let t0 = Instant::now();
-    let guard = Rc::new(LimitGuard::new(options.effective_limits()));
+    let guard = LimitGuard::new(options.effective_limits());
     let mut ex = Executor {
         store,
-        frame: &plan.frame,
-        options: options.clone(),
-        guard: Rc::clone(&guard),
+        scope: &plan.scope,
+        policy: &options.policy,
+        guard: &guard,
         arena: TermArena::new(),
         op_rows: vec![0; plan.ops.len()],
         op_calls: vec![0; plan.ops.len()],
@@ -838,18 +1096,14 @@ pub(crate) fn execute_plan(
         parallel_groupby: false,
         morsels: 0,
     };
-    // charge the static nesting depth against the recursion budget, like the
-    // per-group scopes of the term-space evaluator; the scopes stay alive
-    // for the whole execution so EXISTS sub-evaluations nest below them
+    // charge the static nesting depth (sub-selects and EXISTS patterns
+    // included) against the recursion budget for the whole execution
     let mut scopes = Vec::with_capacity(plan.depth as usize);
     for _ in 0..plan.depth {
         scopes.push(guard.enter()?);
     }
-    let out = ex.exec(&plan.root, Batch::seed(plan.frame.len()))?;
-    let solutions = ex.finish_select(plan, q, out)?;
+    let solutions = ex.run_scope(&plan.scope)?;
     drop(scopes);
-    ex.op_rows[plan.select_op] = solutions.rows().len() as u64;
-    ex.op_calls[plan.select_op] = 1;
     let stats = ExecStats {
         operators: plan
             .ops
@@ -873,11 +1127,12 @@ pub(crate) fn execute_plan(
     Ok((solutions, stats))
 }
 
-struct Executor<'s> {
-    store: &'s Store,
-    frame: &'s Frame,
-    options: EvalOptions,
-    guard: Rc<LimitGuard>,
+struct Executor<'a> {
+    store: &'a Store,
+    /// The scope whose frame the current batches use.
+    scope: &'a Scope,
+    policy: &'a ExecPolicy,
+    guard: &'a LimitGuard,
     arena: TermArena,
     op_rows: Vec<u64>,
     op_calls: Vec<u64>,
@@ -918,15 +1173,27 @@ fn anchor_bind(a: &RAnchor, value: TermId, overrides: &mut Vec<(usize, EId)>) ->
     }
 }
 
-impl Executor<'_> {
+impl<'a> Executor<'a> {
     fn note(&mut self, op: usize, rows: usize) {
         self.op_rows[op] += rows as u64;
         self.op_calls[op] += 1;
     }
 
-    fn exec(&mut self, node: &Node, input: Batch) -> Result<Batch, SparqlError> {
-        match node {
-            Node::Input => Ok(input),
+    /// Run one scope from its seed row through its output stage.
+    fn run_scope(&mut self, scope: &'a Scope) -> Result<Solutions, SparqlError> {
+        let outer = std::mem::replace(&mut self.scope, scope);
+        let result = self
+            .exec(&scope.root, Batch::seed(scope.frame.len()))
+            .and_then(|batch| self.finish(batch));
+        self.scope = outer;
+        let solutions = result?;
+        self.note(scope.output_op, solutions.len());
+        Ok(solutions)
+    }
+
+    fn exec(&mut self, node: &'a Node, input: Batch) -> Result<Batch, SparqlError> {
+        let (out, op) = match node {
+            Node::Input => return Ok(input),
             Node::Join { .. } => {
                 // collapse the maximal join chain ending here so the morsel
                 // runtime can drive all of it per morsel without a barrier
@@ -939,31 +1206,31 @@ impl Executor<'_> {
                 }
                 steps.reverse();
                 let b = self.exec(cur, input)?;
-                self.exec_join_chain(&b, &steps)
+                return self.exec_join_chain(&b, &steps);
+            }
+            Node::Path { input: child, s, path, o, op } => {
+                let b = self.exec(child, input)?;
+                (self.exec_path(&b, s, path, o)?, *op)
             }
             Node::Filter { input: child, exprs, op } => {
                 let b = self.exec(child, input)?;
-                let out = self.exec_filter(b, exprs)?;
-                self.note(*op, out.len());
-                Ok(out)
+                (self.exec_filter(b, exprs)?, *op)
+            }
+            Node::Exists { input: child, inner, negated, op } => {
+                let b = self.exec(child, input)?;
+                (self.exec_exists(b, inner, *negated)?, *op)
             }
             Node::Bind { input: child, expr, slot, op } => {
                 let b = self.exec(child, input)?;
-                let out = self.exec_bind(b, expr, *slot)?;
-                self.note(*op, out.len());
-                Ok(out)
+                (self.exec_bind(b, expr, *slot)?, *op)
             }
             Node::Values { input: child, slots, data, op } => {
                 let b = self.exec(child, input)?;
-                let out = self.exec_values(&b, slots, data)?;
-                self.note(*op, out.len());
-                Ok(out)
+                (self.exec_values(&b, slots, data)?, *op)
             }
             Node::Optional { input: child, inner, op } => {
                 let b = self.exec(child, input)?;
-                let out = self.exec_optional(&b, inner)?;
-                self.note(*op, out.len());
-                Ok(out)
+                (self.exec_optional(&b, inner)?, *op)
             }
             Node::Union { input: child, arms, op } => {
                 let base = self.exec(child, input)?;
@@ -972,10 +1239,19 @@ impl Executor<'_> {
                     let arm_out = self.exec(arm, base.clone())?;
                     out.append(&arm_out);
                 }
-                self.note(*op, out.len());
-                Ok(out)
+                (out, *op)
             }
-        }
+            Node::Minus { input: child, inner, shared, op } => {
+                let b = self.exec(child, input)?;
+                (self.exec_minus(b, inner, shared)?, *op)
+            }
+            Node::SubSelect { input: child, scope, cols, op } => {
+                let b = self.exec(child, input)?;
+                (self.exec_subselect(&b, scope, cols)?, *op)
+            }
+        };
+        self.note(op, out.len());
+        Ok(out)
     }
 
     /// Execute a maximal chain of index joins over `input`. When the input
@@ -990,7 +1266,7 @@ impl Executor<'_> {
         steps: &[(&CSlot, &CPred, &CSlot, usize)],
     ) -> Result<Batch, SparqlError> {
         let n_morsels = input.len().div_ceil(DEFAULT_MORSEL_ROWS).max(1);
-        let workers = self.options.policy.morsel_workers(n_morsels);
+        let workers = self.policy.morsel_workers(n_morsels);
         if workers <= 1 {
             let mut prev: Option<Batch> = None;
             for &(s, p, o, op) in steps {
@@ -1066,12 +1342,99 @@ impl Executor<'_> {
         }
     }
 
+    /// A property path between two positions: the path walk runs once per
+    /// input row from whichever ends the row binds, and once in total for
+    /// rows that bind neither.
+    fn exec_path(
+        &mut self,
+        input: &Batch,
+        s: &CSlot,
+        path: &PropertyPath,
+        o: &CSlot,
+    ) -> Result<Batch, SparqlError> {
+        let mut out = Batch::new(input.width());
+        let mut unanchored: Option<BTreeSet<(TermId, TermId)>> = None;
+        let mut overrides: Vec<(usize, EId)> = Vec::with_capacity(2);
+        for r in 0..input.len() {
+            self.guard.check_deadline()?;
+            let (Some(sa), Some(oa)) = (resolve_slot(s, input, r), resolve_slot(o, input, r))
+            else {
+                continue;
+            };
+            let anchored;
+            let pairs = match (sa.id(), oa.id()) {
+                (None, None) => match &mut unanchored {
+                    Some(pairs) => &*pairs,
+                    slot => &*slot.insert(eval_path_limited(self.store, path, None, None, self.guard)?),
+                },
+                (start, end) => {
+                    anchored = eval_path_limited(self.store, path, start, end, self.guard)?;
+                    &anchored
+                }
+            };
+            for &(sv, ov) in pairs {
+                // repeated-variable consistency (?x p+ ?x)
+                if same_free(&sa, &oa) && sv != ov {
+                    continue;
+                }
+                overrides.clear();
+                if anchor_bind(&sa, sv, &mut overrides) && anchor_bind(&oa, ov, &mut overrides) {
+                    self.guard.count_row_bytes(batch_row_cost(out.width()))?;
+                    out.push_row_from(input, r, &overrides);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Evaluate an expression against `row` (row `r` of `batch`, or the
+    /// empty row past its end). A nested `EXISTS` runs its compiled pattern
+    /// on that batch row; an aggregate reads its finished value from `aggs`
+    /// (grouped projection and `HAVING`).
+    fn eval_row(
+        &mut self,
+        e: &Expr,
+        row: &Row,
+        (batch, r): (&Batch, usize),
+        aggs: Option<(&[AggSpec], &[Option<Value>])>,
+    ) -> Option<Value> {
+        let (scope, store, guard) = (self.scope, self.store, self.guard);
+        eval_expr_limited(e, row, &scope.frame, store, guard, &mut |leaf: &Expr| match leaf {
+            Expr::Exists(g, negated) => Some(Value::Bool(self.exists_at(g, batch, r)? != *negated)),
+            Expr::Aggregate(op, distinct, inner) => {
+                let (specs, values) = aggs?;
+                let i = specs.iter().position(|s| {
+                    s.op == *op && s.distinct == *distinct && s.inner.as_ref() == inner.as_deref()
+                })?;
+                values[i].clone()
+            }
+            _ => None,
+        })
+    }
+
+    /// One expression-nested `EXISTS` for row `r` of `batch`: run its
+    /// compiled pattern on a one-row batch. A limit tripping inside reports
+    /// no answer and stays recorded in the guard for the caller to surface.
+    fn exists_at(&mut self, g: &GroupPattern, batch: &Batch, r: usize) -> Option<bool> {
+        let scope = self.scope;
+        let (_, op, node) = scope.exists.iter().find(|(p, ..)| p == g)?;
+        let mut one = Batch::new(batch.width());
+        if r < batch.len() {
+            one.push_row_from(batch, r, &[]);
+        } else {
+            one = Batch::seed(batch.width());
+        }
+        let hit = !self.exec(node, one).ok()?.is_empty();
+        self.note(*op, hit as usize);
+        Some(hit)
+    }
+
     fn exec_filter(&mut self, mut batch: Batch, exprs: &[Expr]) -> Result<Batch, SparqlError> {
         for e in exprs {
             let keep: Vec<bool> = (0..batch.len())
                 .map(|r| {
                     let row = self.to_row(&batch, r);
-                    eval_expr_limited(e, &row, self.frame, self.store, &self.guard)
+                    self.eval_row(e, &row, (&batch, r), None)
                         .and_then(|v| v.effective_boolean())
                         .unwrap_or(false)
                 })
@@ -1080,6 +1443,117 @@ impl Executor<'_> {
             self.guard.surface()?;
         }
         Ok(batch)
+    }
+
+    /// `FILTER [NOT] EXISTS` as a semi- or anti-join: the inner pattern
+    /// runs once over the whole batch, and each extended row's provenance
+    /// names the input row it matched.
+    fn exec_exists(
+        &mut self,
+        mut batch: Batch,
+        inner: &'a Node,
+        negated: bool,
+    ) -> Result<Batch, SparqlError> {
+        let mut probe = batch.clone();
+        probe.reset_prov();
+        let matched = self.exec(inner, probe)?;
+        let mut keep = vec![negated; batch.len()];
+        for r in 0..matched.len() {
+            keep[matched.prov(r) as usize] = !negated;
+        }
+        batch.retain_rows(&keep);
+        Ok(batch)
+    }
+
+    /// `MINUS` as a hash anti-join (SPARQL 1.1 §18.5): a row is dropped
+    /// when some inner row agrees with it on every shared slot both bind,
+    /// and they bind at least one in common. Inner rows are grouped by the
+    /// shared slots they bind; each group is hashed on the slots it has in
+    /// common with an outer row, once per distinct combination.
+    fn exec_minus(
+        &mut self,
+        mut batch: Batch,
+        inner: &'a Node,
+        shared: &[usize],
+    ) -> Result<Batch, SparqlError> {
+        if shared.is_empty() || batch.is_empty() {
+            return Ok(batch); // no variable in common: nothing is removed
+        }
+        let right = self.exec(inner, Batch::seed(batch.width()))?;
+        let bound_in = |b: &Batch, r: usize, slots: &[usize]| -> Vec<usize> {
+            slots.iter().copied().filter(|&c| b.get(r, c) != UNBOUND).collect()
+        };
+        let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+        for ir in 0..right.len() {
+            let mask = bound_in(&right, ir, shared);
+            match groups.iter_mut().find(|(m, _)| *m == mask) {
+                Some((_, rows)) => rows.push(ir),
+                None if !mask.is_empty() => groups.push((mask, vec![ir])),
+                None => {}
+            }
+        }
+        let mut index: HashMap<(usize, Vec<usize>), HashSet<Vec<EId>>> = HashMap::new();
+        let keep: Vec<bool> = (0..batch.len())
+            .map(|r| {
+                !groups.iter().enumerate().any(|(gi, (mask, rows))| {
+                    let common = bound_in(&batch, r, mask);
+                    if common.is_empty() {
+                        return false;
+                    }
+                    let key: Vec<EId> = common.iter().map(|&c| batch.get(r, c)).collect();
+                    index
+                        .entry((gi, common))
+                        .or_insert_with_key(|(_, cols)| {
+                            let values = |ir: usize| cols.iter().map(|&c| right.get(ir, c)).collect();
+                            rows.iter().map(|&ir| values(ir)).collect()
+                        })
+                        .contains(&key)
+                })
+            })
+            .collect();
+        batch.retain_rows(&keep);
+        Ok(batch)
+    }
+
+    /// Run a sub-select once and join its output columns into the batch:
+    /// every input row pairs with every compatible sub-select row, in that
+    /// order.
+    fn exec_subselect(
+        &mut self,
+        input: &Batch,
+        scope: &'a Scope,
+        cols: &[(usize, usize)],
+    ) -> Result<Batch, SparqlError> {
+        let solutions = self.run_scope(scope)?;
+        let sub: Vec<Vec<EId>> = solutions
+            .rows()
+            .iter()
+            .map(|row| {
+                cols.iter()
+                    .map(|&(_, j)| row[j].as_ref().map_or(UNBOUND, |t| self.arena.intern(self.store, t)))
+                    .collect()
+            })
+            .collect();
+        let mut out = Batch::new(input.width());
+        let mut overrides: Vec<(usize, EId)> = Vec::new();
+        for r in 0..input.len() {
+            'sub: for ids in &sub {
+                overrides.clear();
+                for (&(slot, _), &id) in cols.iter().zip(ids) {
+                    let existing = input.get(r, slot);
+                    if id == UNBOUND || existing == id {
+                        continue;
+                    }
+                    if existing != UNBOUND {
+                        continue 'sub; // incompatible binding
+                    }
+                    overrides.push((slot, id));
+                }
+                self.guard.count_row_bytes(batch_row_cost(out.width()))?;
+                out.push_row_from(input, r, &overrides);
+            }
+        }
+        Ok(out)
     }
 
     fn exec_bind(
@@ -1091,7 +1565,7 @@ impl Executor<'_> {
         let ids: Vec<EId> = (0..batch.len())
             .map(|r| {
                 let row = self.to_row(&batch, r);
-                match eval_expr_limited(expr, &row, self.frame, self.store, &self.guard) {
+                match self.eval_row(expr, &row, (&batch, r), None) {
                     Some(v) => self.arena.intern(self.store, &v.to_term()),
                     None => UNBOUND,
                 }
@@ -1140,7 +1614,7 @@ impl Executor<'_> {
         Ok(out)
     }
 
-    fn exec_optional(&mut self, input: &Batch, inner: &Node) -> Result<Batch, SparqlError> {
+    fn exec_optional(&mut self, input: &Batch, inner: &'a Node) -> Result<Batch, SparqlError> {
         let mut inner_input = input.clone();
         inner_input.reset_prov();
         let extended = self.exec(inner, inner_input)?;
@@ -1177,20 +1651,34 @@ impl Executor<'_> {
             .collect()
     }
 
-    fn finish_select(
-        &mut self,
-        plan: &PhysicalPlan,
-        q: &SelectQuery,
-        batch: Batch,
-    ) -> Result<Solutions, SparqlError> {
-        let items = select_items(q, &plan.frame);
-        let vars: Vec<String> = items.iter().map(|it| it.alias.clone()).collect();
-        let out_rows = if plan.grouped {
-            self.grouped_rows(q, &items, &batch)?
-        } else {
-            self.projected_rows(&items, &batch)?
-        };
-        finalize_rows(q, vars, out_rows, self.store, &self.guard)
+    /// The scope's output stage over its final batch.
+    fn finish(&mut self, batch: Batch) -> Result<Solutions, SparqlError> {
+        let scope = self.scope;
+        match &scope.output {
+            Output::Select { query, items, grouped } => {
+                let vars: Vec<String> = items.iter().map(|it| it.alias.clone()).collect();
+                let out_rows = if *grouped {
+                    self.grouped_rows(query, items, &batch)?
+                } else {
+                    self.projected_rows(items, &batch)?
+                };
+                finalize_rows(query, vars, out_rows, self.store, self.guard)
+            }
+            Output::Bindings => {
+                let rows = (0..batch.len())
+                    .map(|r| {
+                        (0..batch.width())
+                            .map(|c| {
+                                let id = batch.get(r, c);
+                                (id != UNBOUND).then(|| self.arena.term(self.store, id).clone())
+                            })
+                            .collect()
+                    })
+                    .collect();
+                self.guard.surface()?;
+                Ok(Solutions::new(scope.frame.names().to_vec(), rows))
+            }
+        }
     }
 
     // ---- plain projection --------------------------------------------------
@@ -1204,22 +1692,20 @@ impl Executor<'_> {
         let slots: Vec<Option<Option<usize>>> = items
             .iter()
             .map(|it| match &it.expr {
-                Expr::Var(v) => Some(self.frame.index(v)),
+                Expr::Var(v) => Some(self.scope.frame.index(v)),
                 _ => None,
             })
             .collect();
         let all_vars = slots.iter().all(|s| s.is_some());
         // projected term per execution id, memoized: the value round trip
-        // (term -> typed value -> canonical term) matches the term-space
-        // engine's per-cell evaluation, but runs once per distinct id
+        // (term -> typed value -> canonical term) runs once per distinct id
         let mut memo: HashMap<EId, Option<Term>> = HashMap::new();
         let mut out = Vec::with_capacity(batch.len());
         for r in 0..batch.len() {
             let row: Row = if all_vars { Vec::new() } else { self.to_row(batch, r) };
-            let cells: Vec<Option<Term>> = items
-                .iter()
-                .zip(&slots)
-                .map(|(it, slot)| match slot {
+            let mut cells: Vec<Option<Term>> = Vec::with_capacity(items.len());
+            for (it, slot) in items.iter().zip(&slots) {
+                cells.push(match slot {
                     Some(None) => None, // projected var absent from the frame
                     Some(Some(c)) => {
                         let id = batch.get(r, *c);
@@ -1234,10 +1720,9 @@ impl Executor<'_> {
                             t
                         }
                     }
-                    None => eval_expr_limited(&it.expr, &row, self.frame, self.store, &self.guard)
-                        .map(|v| v.to_term()),
-                })
-                .collect();
+                    None => self.eval_row(&it.expr, &row, (batch, r), None).map(|v| v.to_term()),
+                });
+            }
             out.push(cells);
         }
         Ok(out)
@@ -1268,7 +1753,7 @@ impl Executor<'_> {
         for e in &q.group_by {
             match e {
                 Expr::Var(v) => {
-                    let col: Vec<EId> = match self.frame.index(v) {
+                    let col: Vec<EId> = match self.scope.frame.index(v) {
                         Some(c) => (0..batch.len())
                             .map(|r| self.canon_id(batch.get(r, c), &mut canon_memo))
                             .collect(),
@@ -1288,7 +1773,7 @@ impl Executor<'_> {
             .iter()
             .map(|s| match &s.inner {
                 None => SpecIn::CountStar,
-                Some(Expr::Var(v)) => match self.frame.index(v) {
+                Some(Expr::Var(v)) => match self.scope.frame.index(v) {
                     Some(c) => SpecIn::Slot(c),
                     None => SpecIn::Never,
                 },
@@ -1301,7 +1786,7 @@ impl Executor<'_> {
 
         let n_morsels = batch.len().div_ceil(DEFAULT_MORSEL_ROWS).max(1);
         let workers = if all_var_keys && all_simple_specs {
-            self.options.policy.morsel_workers(n_morsels)
+            self.policy.morsel_workers(n_morsels)
         } else {
             1 // complex keys/inputs touch the arena mutably: sequential only
         };
@@ -1363,28 +1848,27 @@ impl Executor<'_> {
 
         let mut out_rows = Vec::with_capacity(groups.len());
         for g in &groups {
-            let rep_row: Row = if g.first_row == usize::MAX {
-                Vec::new()
-            } else {
-                self.to_row(batch, g.first_row)
-            };
+            let rep = (batch, g.first_row);
+            let rep_row: Row =
+                if g.first_row == usize::MAX { Vec::new() } else { self.to_row(batch, g.first_row) };
             let agg_vals: Vec<Option<Value>> =
                 g.states.iter().map(|s| s.clone().finalize()).collect();
             if let Some(having) = &q.having {
                 let keep = self
-                    .eval_with_aggs(having, &specs, &agg_vals, &rep_row)
+                    .eval_row(having, &rep_row, rep, Some((&specs, &agg_vals)))
                     .and_then(|v| v.effective_boolean())
                     .unwrap_or(false);
                 if !keep {
                     continue;
                 }
             }
-            let cells: Vec<Option<Term>> = items
-                .iter()
-                .map(|it| {
-                    self.eval_with_aggs(&it.expr, &specs, &agg_vals, &rep_row).map(|v| v.to_term())
-                })
-                .collect();
+            let mut cells: Vec<Option<Term>> = Vec::with_capacity(items.len());
+            for it in items {
+                cells.push(
+                    self.eval_row(&it.expr, &rep_row, rep, Some((&specs, &agg_vals)))
+                        .map(|v| v.to_term()),
+                );
+            }
             out_rows.push(cells);
         }
         Ok(out_rows)
@@ -1392,7 +1876,7 @@ impl Executor<'_> {
 
     /// Canonical execution id of a group-key cell: the id of the term's
     /// value round trip, so e.g. `"07"^^xsd:integer` and `"7"^^xsd:integer`
-    /// land in the same group — exactly like term-space group keys.
+    /// land in the same group.
     fn canon_id(&mut self, id: EId, memo: &mut HashMap<EId, EId>) -> EId {
         if id == UNBOUND {
             return UNBOUND;
@@ -1424,12 +1908,10 @@ impl Executor<'_> {
             for k in key_cols {
                 key.push(match k {
                     KeyCol::Canon(col) => col[r],
-                    KeyCol::Complex(e) => {
-                        match eval_expr_limited(e, &row, self.frame, self.store, &self.guard) {
-                            Some(v) => self.arena.intern(self.store, &v.to_term()),
-                            None => UNBOUND,
-                        }
-                    }
+                    KeyCol::Complex(e) => match self.eval_row(e, &row, (batch, r), None) {
+                        Some(v) => self.arena.intern(self.store, &v.to_term()),
+                        None => UNBOUND,
+                    },
                 });
             }
             let gi = match index.get(&key) {
@@ -1460,9 +1942,7 @@ impl Executor<'_> {
                             Some(v)
                         }
                     }
-                    SpecIn::Complex(e) => {
-                        eval_expr_limited(e, &row, self.frame, self.store, &self.guard)
-                    }
+                    SpecIn::Complex(e) => self.eval_row(e, &row, (batch, r), None),
                 };
                 if let Some(v) = v {
                     groups[gi].states[si].update(v);
@@ -1471,104 +1951,73 @@ impl Executor<'_> {
         }
         groups
     }
+}
 
-    /// Evaluate a projection/`HAVING` expression against one finished group:
-    /// aggregate leaves substitute the precomputed values, everything else
-    /// mirrors the term-space `eval_agg_expr` (non-aggregate leaves are
-    /// evaluated on the group's representative row).
-    fn eval_with_aggs(
-        &self,
-        expr: &Expr,
-        specs: &[AggSpec],
-        agg_vals: &[Option<Value>],
-        rep_row: &Row,
-    ) -> Option<Value> {
-        match expr {
-            Expr::Aggregate(op, distinct, inner) => {
-                let idx = specs.iter().position(|s| {
-                    s.op == *op && s.distinct == *distinct && s.inner.as_ref() == inner.as_deref()
-                })?;
-                agg_vals[idx].clone()
-            }
-            Expr::Var(_) | Expr::Const(_) | Expr::Call(..) | Expr::Exists(..) => {
-                eval_expr_limited(expr, rep_row, self.frame, self.store, &self.guard)
-            }
-            Expr::Or(a, b) => {
-                let va = self
-                    .eval_with_aggs(a, specs, agg_vals, rep_row)
-                    .and_then(|v| v.effective_boolean());
-                let vb = self
-                    .eval_with_aggs(b, specs, agg_vals, rep_row)
-                    .and_then(|v| v.effective_boolean());
-                match (va, vb) {
-                    (Some(true), _) | (_, Some(true)) => Some(Value::Bool(true)),
-                    (Some(false), Some(false)) => Some(Value::Bool(false)),
-                    _ => None,
+/// The solution modifiers of a `SELECT`: DISTINCT, ORDER BY, OFFSET/LIMIT,
+/// and the final soft-limit surface. Materialized views
+/// ([`crate::views`]) funnel through here too, so the modifiers behave
+/// identically whichever path answers.
+pub(crate) fn finalize_rows(
+    q: &SelectQuery,
+    vars: Vec<String>,
+    mut out_rows: Vec<Vec<Option<Term>>>,
+    store: &Store,
+    guard: &LimitGuard,
+) -> Result<Solutions, SparqlError> {
+    if q.distinct {
+        let mut seen = HashSet::new();
+        out_rows.retain(|r| seen.insert(r.clone()));
+    }
+
+    if !q.order_by.is_empty() {
+        // ORDER BY sees the projected row; EXISTS there is rejected at compile
+        let out_frame = Frame::new(vars.clone());
+        let key = |row: &[Option<Term>], e: &Expr| {
+            let row: Row = row.iter().map(|t| t.clone().map(Bound::Term)).collect();
+            eval_expr_limited(e, &row, &out_frame, store, guard, &mut |_: &Expr| None)
+        };
+        out_rows.sort_by(|a, b| {
+            for spec in &q.order_by {
+                let ord = order_values(&key(a, &spec.expr), &key(b, &spec.expr));
+                let ord = if spec.descending { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
                 }
             }
-            Expr::And(a, b) => {
-                let va = self
-                    .eval_with_aggs(a, specs, agg_vals, rep_row)
-                    .and_then(|v| v.effective_boolean());
-                let vb = self
-                    .eval_with_aggs(b, specs, agg_vals, rep_row)
-                    .and_then(|v| v.effective_boolean());
-                match (va, vb) {
-                    (Some(false), _) | (_, Some(false)) => Some(Value::Bool(false)),
-                    (Some(true), Some(true)) => Some(Value::Bool(true)),
-                    _ => None,
-                }
-            }
-            Expr::Not(e) => {
-                let v = self.eval_with_aggs(e, specs, agg_vals, rep_row)?.effective_boolean()?;
-                Some(Value::Bool(!v))
-            }
-            Expr::Compare(a, op, b) => {
-                let va = self.eval_with_aggs(a, specs, agg_vals, rep_row)?;
-                let vb = self.eval_with_aggs(b, specs, agg_vals, rep_row)?;
-                match op {
-                    CompareOp::Eq => Some(Value::Bool(va.value_eq(&vb))),
-                    CompareOp::Ne => Some(Value::Bool(!va.value_eq(&vb))),
-                    _ => {
-                        let ord = va.compare(&vb)?;
-                        Some(Value::Bool(match op {
-                            CompareOp::Lt => ord == std::cmp::Ordering::Less,
-                            CompareOp::Le => ord != std::cmp::Ordering::Greater,
-                            CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-                            CompareOp::Ge => ord != std::cmp::Ordering::Less,
-                            _ => unreachable!(),
-                        }))
-                    }
-                }
-            }
-            Expr::Arith(a, op, b) => {
-                let va = self.eval_with_aggs(a, specs, agg_vals, rep_row)?;
-                let vb = self.eval_with_aggs(b, specs, agg_vals, rep_row)?;
-                match op {
-                    ArithOp::Add => va.add(&vb),
-                    ArithOp::Sub => va.sub(&vb),
-                    ArithOp::Mul => va.mul(&vb),
-                    ArithOp::Div => va.div(&vb),
-                }
-            }
-            Expr::Neg(e) => {
-                let v = self.eval_with_aggs(e, specs, agg_vals, rep_row)?;
-                Value::Int(0).sub(&v)
-            }
-            Expr::In(e, list, negated) => {
-                let v = self.eval_with_aggs(e, specs, agg_vals, rep_row)?;
-                let mut found = false;
-                for item in list {
-                    if let Some(vi) = self.eval_with_aggs(item, specs, agg_vals, rep_row) {
-                        if v.value_eq(&vi) {
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-                Some(Value::Bool(found != *negated))
-            }
+            std::cmp::Ordering::Equal
+        });
+    }
+
+    let offset = q.offset.unwrap_or(0);
+    if offset > 0 {
+        out_rows.drain(..offset.min(out_rows.len()));
+    }
+    if let Some(limit) = q.limit {
+        out_rows.truncate(limit);
+    }
+
+    // surface any limit that tripped softly inside projection/sorting
+    guard.surface()?;
+    Ok(Solutions::new(vars, out_rows))
+}
+
+/// Total order for ORDER BY: unbound < blank < IRI < literal-by-value.
+fn order_values(a: &Option<Value>, b: &Option<Value>) -> std::cmp::Ordering {
+    fn rank(v: &Option<Value>) -> u8 {
+        match v {
+            None => 0,
+            Some(Value::Blank(_)) => 1,
+            Some(Value::Iri(_)) => 2,
+            Some(_) => 3,
         }
+    }
+    let (ra, rb) = (rank(a), rank(b));
+    if ra != rb {
+        return ra.cmp(&rb);
+    }
+    match (a, b) {
+        (Some(x), Some(y)) => x.compare(y).unwrap_or_else(|| x.render().cmp(&y.render())),
+        _ => std::cmp::Ordering::Equal,
     }
 }
 
@@ -1683,8 +2132,7 @@ fn join_rows(
                 continue;
             }
             if let Some(ps) = p_slot {
-                // the predicate binding wins on slot collisions, matching
-                // the term-space evaluator's overwrite order
+                // the predicate binding wins on slot collisions (?x ?x ?o)
                 overrides.push((ps, pack_store(pv)));
             }
             budget.add_row()?;

@@ -6,12 +6,11 @@
 //! written back into a store through the standard protocol surface instead
 //! of the Rust API.
 
-use crate::ast::{GroupPattern, PathOrVar, PropertyPath, TermPattern, TriplePattern};
-use crate::eval::{Evaluator, Frame};
-use crate::expr::bound_term;
+use crate::ast::{GroupPattern, TriplePattern};
 use crate::parser::parse_update_ops;
+use crate::plan::{instantiate, run_pattern};
 use crate::SparqlError;
-use rdfa_model::{Term, Triple};
+use rdfa_model::Triple;
 use rdfa_store::{Mutation, Store};
 
 /// One update operation.
@@ -136,7 +135,8 @@ fn remove_triple(store: &mut Store, t: &Triple) -> bool {
     }
 }
 
-/// Evaluate the WHERE pattern and instantiate the template for each row.
+/// Run the WHERE pattern on the compiled plan and instantiate the template
+/// for each row.
 fn instantiate_all(
     store: &Store,
     template: &[TriplePattern],
@@ -145,43 +145,13 @@ fn instantiate_all(
     if template.is_empty() {
         return Ok(Vec::new());
     }
-    let mut frame = Frame::default();
-    Evaluator::collect_vars(where_, &mut frame);
-    let ev = Evaluator::new(store);
-    let rows = ev.eval_group(where_, &frame, vec![vec![None; frame.len()]])?;
-    let mut out = Vec::new();
-    for row in &rows {
-        for tp in template {
-            let resolve = |pat: &TermPattern| -> Option<Term> {
-                match pat {
-                    TermPattern::Term(t) => Some(t.clone()),
-                    TermPattern::Var(v) => frame
-                        .index(v)
-                        .and_then(|i| row.get(i))
-                        .and_then(|b| b.as_ref())
-                        .map(|b| bound_term(b, store).clone()),
-                }
-            };
-            let p = match &tp.predicate {
-                PathOrVar::Path(PropertyPath::Iri(iri)) => Some(Term::iri(iri.clone())),
-                PathOrVar::Var(v) => frame
-                    .index(v)
-                    .and_then(|i| row.get(i))
-                    .and_then(|b| b.as_ref())
-                    .map(|b| bound_term(b, store).clone()),
-                PathOrVar::Path(_) => None,
-            };
-            if let (Some(s), Some(p), Some(o)) = (resolve(&tp.subject), p, resolve(&tp.object)) {
-                out.push(Triple::new(s, p, o));
-            }
-        }
-    }
-    Ok(out)
+    Ok(instantiate(template, &run_pattern(where_, store)?, false))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfa_model::Term;
 
     const EX: &str = "http://e/";
 

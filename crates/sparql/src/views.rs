@@ -45,13 +45,12 @@ use crate::ast::{
     AggregateOp, Expr, PathOrVar, PatternElement, Projection, PropertyPath, SelectItem,
     SelectQuery, TermPattern,
 };
-use crate::eval::finalize_rows;
 use crate::limits::LimitGuard;
+use crate::plan::finalize_rows;
 use crate::results::Solutions;
 use crate::SparqlError;
 use rdfa_model::{Term, Value};
 use rdfa_store::Store;
-use std::rc::Rc;
 use std::time::Duration;
 
 /// The canonical shape of a viewable aggregate query. Two queries with
@@ -307,7 +306,7 @@ pub fn finalize_view_rows(
     rows: Vec<Vec<Option<Term>>>,
     store: &Store,
 ) -> Result<Solutions, SparqlError> {
-    let guard = Rc::new(LimitGuard::unlimited());
+    let guard = LimitGuard::unlimited();
     finalize_rows(q, vars, rows, store, &guard)
 }
 

@@ -1148,9 +1148,10 @@ fn serve_query(
 
 /// Serve `/v1/explain`: prepare the query, execute it under the server's
 /// limits, and return the annotated plan as `text/plain` — operator
-/// estimates (`est=`), observed cardinalities (`rows=`), and the morsel
-/// runtime summary (worker threads and morsel count) for compiled `SELECT`
-/// queries; the term-space BGP plan otherwise. The execution runs under
+/// estimates (`est=`), observed cardinalities (`rows=`), the morsel
+/// runtime summary (worker threads and morsel count), and the limits the
+/// execution ran under. Every query form has a plan: `CONSTRUCT` and `ASK`
+/// show their `WHERE` plan, `DESCRIBE` one line. The execution runs under
 /// the same cancellation wiring as `/v1/query`, so an abandoned explain
 /// releases its admission slot promptly too.
 fn serve_explain(wire: &mut Wire<'_>, ctx: &Ctx, query: &str) -> std::io::Result<()> {
@@ -1886,6 +1887,21 @@ mod tests {
         assert!(resp.contains("rows="), "executed plans carry observed rows: {resp}");
         assert!(resp.contains("runtime: threads="), "{resp}");
         assert!(resp.contains("morsels="), "{resp}");
+        // the server's interactive limits are part of the explained plan
+        assert!(resp.contains("\nlimits: deadline"), "{resp}");
+
+        // MINUS, sub-selects and property paths explain as physical plans
+        for (body, op) in [
+            ("?x a ex:Laptop . MINUS { ?x ex:price 900 }", "Minus(on ?x)"),
+            ("{ SELECT ?x WHERE { ?x ex:price ?p } }", "SubSelect(?x)"),
+            ("?x a/^a ?y", "PathJoin ?x type/^type ?y"),
+        ] {
+            let q = percent_encode(&format!(
+                "PREFIX ex: <http://example.org/> SELECT * WHERE {{ {body} }}"
+            ));
+            let resp = get(server.addr(), &format!("/v1/explain?query={q}"), "*/*");
+            assert!(resp.contains("physical plan:") && resp.contains(op), "{op}: {resp}");
+        }
 
         // a malformed query is a diagnosed 400, not a panic
         let bad = get(server.addr(), "/v1/explain?query=NOT%20SPARQL", "*/*");

@@ -1,12 +1,17 @@
-//! Differential harness: the ID-space batched engine must agree with the
-//! term-space evaluator on every query, at every thread count, including
-//! when resource limits trip. Queries come from a fixed corpus covering the
-//! operator surface (aggregates, OPTIONAL, UNION, FILTER, BIND, VALUES,
-//! DISTINCT, ORDER BY) plus seeded random BGP+aggregate combinations, so a
-//! divergence in any operator's semantics shows up as a row-set mismatch.
+//! Differential harness: the engine must agree with an independent
+//! brute-force oracle (`tests/bruteforce`) on every query, at every thread
+//! count and over mmap segments, and must surface the configured limit when
+//! a query outgrows its budget. Queries come from a fixed corpus covering
+//! the operator surface (aggregates, OPTIONAL, UNION, MINUS, [NOT] EXISTS,
+//! sub-selects, property paths, FILTER, BIND, VALUES, DISTINCT, ORDER BY)
+//! plus seeded random BGP+aggregate combinations, so a divergence in any
+//! operator's semantics shows up as a row-set mismatch.
 
+mod bruteforce;
+
+use bruteforce::Oracle;
 use rdf_analytics::datagen::{ProductsGenerator, EX};
-use rdf_analytics::sparql::{CancelFlag, Engine, EvalLimits, ExecMode, SparqlError};
+use rdf_analytics::sparql::{CancelFlag, Engine, EvalLimits, LimitKind, SparqlError};
 use rdf_analytics::store::{
     FsyncPolicy, LoadOptions, PersistConfig, PersistentStore, Store,
 };
@@ -52,8 +57,8 @@ fn big_store() -> Store {
 }
 
 /// Order-insensitive canonical form: every cell rendered fully, rows sorted.
-/// The engines must agree up to row permutation (ORDER BY ties are
-/// unordered between implementations, and parallel grouping is only
+/// The engine and the oracle must agree up to row permutation (they order
+/// ORDER BY ties and joins differently, and parallel grouping is only
 /// guaranteed to be a permutation of the sequential result).
 fn canon(sols: &rdf_analytics::sparql::Solutions) -> Vec<Vec<Option<String>>> {
     let mut rows: Vec<Vec<Option<String>>> = sols
@@ -65,28 +70,23 @@ fn canon(sols: &rdf_analytics::sparql::Solutions) -> Vec<Vec<Option<String>>> {
     rows
 }
 
-/// Run one query under the three configurations and demand agreement.
-fn check(s: &Store, q: &str, ctx: &str) {
-    let term = Engine::builder(s)
-        .execution(ExecMode::TermSpace)
-        .build()
-        .run(q)
-        .unwrap_or_else(|e| panic!("term-space failed ({ctx}): {e}\n{q}"))
-        .into_solutions()
-        .unwrap();
+/// Run one query on the engine at one and four threads and demand the
+/// oracle's answer.
+fn check(s: &Store, oracle: &Oracle, q: &str, ctx: &str) {
+    let expected = oracle.select(q);
     for threads in [1usize, 4] {
-        let id = Engine::builder(s)
+        let got = Engine::builder(s)
             .threads(threads)
             .build()
             .run(q)
-            .unwrap_or_else(|e| panic!("id-space({threads} threads) failed ({ctx}): {e}\n{q}"))
+            .unwrap_or_else(|e| panic!("engine ({threads} threads) failed ({ctx}): {e}\n{q}"))
             .into_solutions()
             .unwrap();
-        assert_eq!(term.vars(), id.vars(), "{ctx}: var mismatch\n{q}");
+        assert_eq!(expected.vars(), got.vars(), "{ctx}: var mismatch\n{q}");
         assert_eq!(
-            canon(&term),
-            canon(&id),
-            "{ctx}: id-space with {threads} thread(s) diverged\n{q}"
+            canon(&expected),
+            canon(&got),
+            "{ctx}: engine with {threads} thread(s) diverged from the oracle\n{q}"
         );
     }
 }
@@ -137,14 +137,46 @@ const CORPUS: &[&str] = &[
     // GROUP BY on a join chain (two hops)
     "SELECT ?cont (COUNT(?x) AS ?n) WHERE { \
        ?x ex:manufacturer ?m . ?m ex:origin ?c . ?c ex:locatedAt ?cont . } GROUP BY ?cont",
+    // MINUS on a shared variable
+    "SELECT ?x ?m WHERE { ?x ex:manufacturer ?m . MINUS { ?x ex:USBPorts 2 . } }",
+    // MINUS sharing no variable removes nothing
+    "SELECT ?x WHERE { ?x a ex:Laptop . MINUS { ?c ex:origin ex:USA . } }",
+    // MINUS whose inner OPTIONAL leaves a shared variable unbound
+    "SELECT ?x ?c WHERE { ?x ex:manufacturer ?m . ?m ex:origin ?c . \
+       MINUS { ?x ex:USBPorts 4 . OPTIONAL { ?x ex:hardDrive ?d . ?d ex:manufacturer ?dm . \
+       ?dm ex:origin ?c . FILTER(?c = ex:USA) } } }",
+    // FILTER NOT EXISTS and FILTER EXISTS next to a plain conjunct
+    "SELECT ?x WHERE { ?x a ex:Laptop . \
+       FILTER NOT EXISTS { ?x ex:manufacturer ?m . ?m ex:origin ex:USA . } }",
+    "SELECT ?x ?u WHERE { ?x ex:USBPorts ?u . \
+       FILTER(EXISTS { ?x ex:hardDrive ?d . ?d a ex:SSD . } && ?u > 1) }",
+    // NOT EXISTS whose inner OPTIONAL stays unbound
+    "SELECT ?x WHERE { ?x a ex:Laptop . FILTER NOT EXISTS { ?x ex:USBPorts 3 . \
+       OPTIONAL { ?x ex:founder ?f . } } }",
+    // EXISTS nested in a larger expression and in a projection
+    "SELECT ?x (NOT EXISTS { ?x ex:USBPorts 4 } AS ?not4) WHERE { ?x ex:price ?p . \
+       FILTER(?p > 2500 || NOT EXISTS { ?x ex:USBPorts 1 }) }",
+    // sub-select filtered on its aggregate
+    "SELECT ?m ?avg WHERE { { SELECT ?m (AVG(?p) AS ?avg) WHERE { \
+       ?x ex:manufacturer ?m . ?x ex:price ?p . } GROUP BY ?m } FILTER(?avg >= 1500) }",
+    // sub-select joined to the outer pattern
+    "SELECT ?x ?m ?n WHERE { ?x ex:manufacturer ?m . ?x ex:USBPorts 4 . \
+       { SELECT ?m (COUNT(*) AS ?n) WHERE { ?y ex:manufacturer ?m } GROUP BY ?m } }",
+    // property paths: sequence, inverse, one-or-more
+    "SELECT ?x ?c WHERE { ?x ex:manufacturer/ex:origin ?c . }",
+    "SELECT ?c ?x WHERE { ex:USA ^ex:origin/^ex:manufacturer ?x . ?x ex:USBPorts ?c . }",
+    "SELECT ?cont (COUNT(?x) AS ?n) WHERE { ?x ex:manufacturer/ex:origin/ex:locatedAt ?cont . } \
+     GROUP BY ?cont",
+    "SELECT ?a ?b WHERE { ?a <http://www.w3.org/2000/01/rdf-schema#subClassOf>+ ?b . }",
 ];
 
 #[test]
 fn corpus_queries_agree_across_engines_and_threads() {
     let s = store();
+    let oracle = Oracle::new(&s);
     for (i, q) in CORPUS.iter().enumerate() {
         let q = format!("PREFIX ex: <{EX}> {q}");
-        check(&s, &q, &format!("corpus[{i}]"));
+        check(&s, &oracle, &q, &format!("corpus[{i}]"));
     }
 }
 
@@ -160,9 +192,10 @@ fn corpus_queries_byte_identical_over_mmap_segments() {
     let stats = seg.segment_stats();
     assert!(stats.segments > 0, "the reopened store must actually be segment-backed");
     assert_eq!(mem.len(), seg.len());
+    let oracle = Oracle::new(&seg);
     for (i, q) in CORPUS.iter().enumerate() {
         let q = format!("PREFIX ex: <{EX}> {q}");
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4, 8] {
             let a = run_id_space(&mem, &q, threads);
             let b = run_id_space(&seg, &q, threads);
             assert_eq!(a.vars(), b.vars(), "corpus[{i}]: var mismatch\n{q}");
@@ -172,8 +205,8 @@ fn corpus_queries_byte_identical_over_mmap_segments() {
                 "corpus[{i}]: mmap store diverged from memory at {threads} thread(s)\n{q}"
             );
         }
-        // and over the segments the two engines still agree with each other
-        check(&seg, &q, &format!("corpus[{i}] over mmap"));
+        // and over the segments the engine still agrees with the oracle
+        check(&seg, &oracle, &q, &format!("corpus[{i}] over mmap"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -183,6 +216,7 @@ fn corpus_queries_byte_identical_over_mmap_segments() {
 #[test]
 fn random_aggregate_queries_agree() {
     let s = store();
+    let oracle = Oracle::new(&s);
     let mut rng = StdRng::seed_from_u64(7);
     let keys = ["manufacturer", "USBPorts", "hardDrive"];
     let aggs = ["COUNT(?x)", "SUM(?p)", "AVG(?p)", "MIN(?p)", "MAX(?p)", "COUNT(DISTINCT ?p)"];
@@ -195,7 +229,7 @@ fn random_aggregate_queries_agree() {
             "PREFIX ex: <{EX}> SELECT {distinct}?k ({agg} AS ?v) WHERE {{ \
                ?x ex:{key} ?k ; ex:price ?p . FILTER(?p >= {lo}) }} GROUP BY ?k"
         );
-        check(&s, &q, &format!("random[{case}]"));
+        check(&s, &oracle, &q, &format!("random[{case}]"));
     }
 }
 
@@ -203,6 +237,7 @@ fn random_aggregate_queries_agree() {
 #[test]
 fn random_pattern_queries_agree() {
     let s = store();
+    let oracle = Oracle::new(&s);
     let mut rng = StdRng::seed_from_u64(13);
     for case in 0..30 {
         let with_opt = rng.gen_bool(0.5);
@@ -216,41 +251,45 @@ fn random_pattern_queries_agree() {
             body = format!("{{ {body} }} UNION {{ ?x a ex:Company . }}");
         }
         let q = format!("PREFIX ex: <{EX}> SELECT * WHERE {{ {body} }}");
-        check(&s, &q, &format!("pattern[{case}]"));
+        check(&s, &oracle, &q, &format!("pattern[{case}]"));
     }
 }
 
-/// When a resource limit trips, both engines must surface the SAME
-/// structured error — the limit kind and configured ceiling, not just "some
-/// error". (Exact trip *points* may differ; the surfaced variant may not.)
+/// When a query outgrows its budget, the engine must surface the
+/// structured error for the configured limit — its kind and ceiling, not
+/// just "some error" — at every thread count. The oracle confirms the
+/// pattern really produces more rows than the row budget allows.
 #[test]
 fn tripped_limits_agree_across_engines() {
     let s = store();
-    let q = format!(
-        "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
-           ?x ex:manufacturer ?m ; ex:price ?p . }} GROUP BY ?m"
-    );
-    let trip = |mode: ExecMode, limits: EvalLimits| -> SparqlError {
-        Engine::builder(&s)
-            .execution(mode)
-            .limits(limits)
-            .build()
-            .run(&q)
-            .expect_err("limit should trip")
-    };
-    for limits in [
-        EvalLimits::unlimited().with_max_rows(5),
-        EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO),
+    let pattern = "?x ex:manufacturer ?m ; ex:price ?p .";
+    let q = format!("PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ {pattern} }} GROUP BY ?m");
+    let rows = Oracle::new(&s).select(&format!("PREFIX ex: <{EX}> SELECT * WHERE {{ {pattern} }}"));
+    assert!(rows.len() > 5, "the pattern must outgrow the row budget");
+    for (limits, expected) in [
+        (
+            EvalLimits::unlimited().with_max_rows(5),
+            SparqlError::ResourceLimit { kind: LimitKind::SolutionRows, limit: 5 },
+        ),
+        (
+            EvalLimits::unlimited().with_deadline(std::time::Duration::ZERO),
+            SparqlError::ResourceLimit { kind: LimitKind::Deadline, limit: 0 },
+        ),
     ] {
-        let a = trip(ExecMode::TermSpace, limits.clone());
-        let b = trip(ExecMode::IdSpace, limits);
-        assert!(a.is_resource_limit() && b.is_resource_limit(), "{a:?} vs {b:?}");
-        assert_eq!(a, b, "engines surfaced different limit errors");
+        for threads in [1usize, 4] {
+            let err = Engine::builder(&s)
+                .threads(threads)
+                .limits(limits.clone())
+                .build()
+                .run(&q)
+                .expect_err("limit should trip");
+            assert_eq!(err, expected, "{threads} thread(s)");
+        }
     }
 }
 
-/// A query under a limit that does NOT trip must return full results in
-/// both engines — the guard must not distort row sets.
+/// A query under a limit that does NOT trip must return the oracle's full
+/// answer — the guard must not distort row sets.
 #[test]
 fn generous_limits_do_not_distort_results() {
     let s = store();
@@ -258,20 +297,16 @@ fn generous_limits_do_not_distort_results() {
         "PREFIX ex: <{EX}> SELECT ?m (COUNT(?x) AS ?n) WHERE {{ \
            ?x ex:manufacturer ?m . }} GROUP BY ?m"
     );
-    let run = |mode: ExecMode| {
-        Engine::builder(&s)
-            .execution(mode)
-            .limits(EvalLimits::interactive())
-            .build()
-            .run(&q)
-            .unwrap()
-            .into_solutions()
-            .unwrap()
-    };
-    let a = run(ExecMode::TermSpace);
-    let b = run(ExecMode::IdSpace);
-    assert_eq!(canon(&a), canon(&b));
-    assert!(!a.is_empty());
+    let limited = Engine::builder(&s)
+        .limits(EvalLimits::interactive())
+        .build()
+        .run(&q)
+        .unwrap()
+        .into_solutions()
+        .unwrap();
+    let expected = Oracle::new(&s).select(&q);
+    assert_eq!(canon(&expected), canon(&limited));
+    assert!(!limited.is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -311,10 +346,14 @@ fn multi_morsel_queries() -> Vec<String> {
     ]
 }
 
+/// Every morsel-sized query, then the whole corpus (MINUS, sub-select,
+/// path and EXISTS plans included), must be byte-identical at 1, 2, 4 and 8
+/// threads.
 #[test]
 fn morsel_runtime_output_is_byte_identical_across_thread_counts() {
     let s = big_store();
-    for q in multi_morsel_queries() {
+    let corpus = CORPUS.iter().map(|q| format!("PREFIX ex: <{EX}> {q}"));
+    for q in multi_morsel_queries().into_iter().chain(corpus) {
         let reference = run_id_space(&s, &q, 1);
         assert!(!reference.is_empty(), "{q}");
         for threads in [2usize, 4, 8] {
