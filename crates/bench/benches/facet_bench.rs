@@ -4,16 +4,21 @@
 //!
 //! 1. the seed `BTreeSet` path (`markers::reference`),
 //! 2. the sorted-dense merge-join path with parallel marker computation,
-//! 3. the same path answered from a warm generation-keyed [`FacetCache`].
+//! 3. the same path answered from a warm generation-keyed [`FacetCache`],
 //!
-//! Asserts the new path reproduces the seed output byte-identically at each
+//! plus the cost of rendering that panel as the `/v1/facets` JSON body —
+//! all a warm cache hit still pays — with the original `format!`-per-value
+//! renderer (`panel::reference`) against the single-buffer writer
+//! (`panel::panel_json`).
+//!
+//! Asserts the new paths reproduce the seed output byte-identically at each
 //! scale, then writes `BENCH_4.json` with timings and speedups so CI can
 //! archive the artifact.
 //!
 //! Run with `cargo bench --bench facet_bench`.
 
 use rdfa_datagen::{ProductsGenerator, EX};
-use rdfa_facets::{markers, ExecPolicy, FacetCache, FacetOptions};
+use rdfa_facets::{markers, panel, ExecPolicy, FacetCache, FacetOptions};
 use rdfa_store::Store;
 use std::time::Instant;
 
@@ -37,6 +42,9 @@ struct ScaleResult {
     reference_secs: f64,
     merge_join_secs: f64,
     cached_secs: f64,
+    panel_bytes: usize,
+    render_reference_secs: f64,
+    render_writer_secs: f64,
 }
 
 fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
@@ -75,6 +83,23 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
     let stats = cache.stats();
     assert_eq!(stats.misses, 2, "cache warmed exactly once per kind");
 
+    // the panel body a warm hit renders: the writer must reproduce the
+    // original renderer byte for byte
+    let generation = store.generation();
+    let render_ref = || {
+        panel::reference::panel_json(&store, generation, ext.len(), &classes_new, &facets_new)
+    };
+    let render_new =
+        || panel::panel_json(&store, generation, ext.len(), &classes_new, &facets_new);
+    let body = render_new();
+    assert_eq!(render_ref(), body, "panel writer diverged from the reference renderer");
+    let render_reference_secs = median_secs(reps, || {
+        std::hint::black_box(render_ref());
+    });
+    let render_writer_secs = median_secs(reps, || {
+        std::hint::black_box(render_new());
+    });
+
     ScaleResult {
         triples: store.len(),
         ext_len: ext.len(),
@@ -82,6 +107,9 @@ fn bench_scale(n_products: usize, reps: usize, threads: usize) -> ScaleResult {
         reference_secs,
         merge_join_secs,
         cached_secs,
+        panel_bytes: body.len(),
+        render_reference_secs,
+        render_writer_secs,
     }
 }
 
@@ -93,7 +121,7 @@ fn main() {
 
     let scale_json = |s: &ScaleResult| {
         format!(
-            "{{\n    \"triples\": {},\n    \"extension\": {},\n    \"reps\": {},\n    \"reference_secs\": {:.6},\n    \"merge_join_parallel_secs\": {:.6},\n    \"cached_secs\": {:.6},\n    \"speedup_merge_join_vs_reference\": {:.3},\n    \"speedup_cached_vs_reference\": {:.1}\n  }}",
+            "{{\n    \"triples\": {},\n    \"extension\": {},\n    \"reps\": {},\n    \"reference_secs\": {:.6},\n    \"merge_join_parallel_secs\": {:.6},\n    \"cached_secs\": {:.6},\n    \"speedup_merge_join_vs_reference\": {:.3},\n    \"speedup_cached_vs_reference\": {:.1},\n    \"panel_render\": {{\n      \"bytes\": {},\n      \"reference_secs\": {:.6},\n      \"writer_secs\": {:.6},\n      \"speedup_writer_vs_reference\": {:.2}\n    }}\n  }}",
             s.triples,
             s.ext_len,
             s.reps,
@@ -102,6 +130,10 @@ fn main() {
             s.cached_secs,
             s.reference_secs / s.merge_join_secs,
             s.reference_secs / s.cached_secs,
+            s.panel_bytes,
+            s.render_reference_secs,
+            s.render_writer_secs,
+            s.render_reference_secs / s.render_writer_secs,
         )
     };
     let json = format!(

@@ -61,6 +61,13 @@ struct Inner {
     tick: u64,
 }
 
+/// Whether one fresh lookup was answered from the cache or computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheOutcome {
+    Hit,
+    Miss,
+}
+
 /// Point-in-time cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FacetCacheStats {
@@ -118,13 +125,26 @@ impl FacetCache {
         ext: &ExtSet,
         opts: FacetOptions,
     ) -> Result<Arc<Vec<ClassMarker>>, FacetError> {
+        self.class_markers_traced(store, ext, opts).map(|(v, _)| v)
+    }
+
+    /// [`FacetCache::class_markers`], also reporting whether this call was
+    /// answered from the cache. The outcome belongs to this call alone; the
+    /// shared [`FacetCache::stats`] counters also move with every other
+    /// caller's lookups, so diffing them cannot label one request.
+    pub fn class_markers_traced(
+        &self,
+        store: &Store,
+        ext: &ExtSet,
+        opts: FacetOptions,
+    ) -> Result<(Arc<Vec<ClassMarker>>, CacheOutcome), FacetError> {
         let key = Key::new(Kind::Classes, store, ext);
         if let Some(CachedValue::Classes(v)) = self.lookup(key) {
-            return Ok(v);
+            return Ok((v, CacheOutcome::Hit));
         }
         let computed = Arc::new(class_markers_opts(store, ext, opts)?);
         self.store_entry(key, CachedValue::Classes(Arc::clone(&computed)));
-        Ok(computed)
+        Ok((computed, CacheOutcome::Miss))
     }
 
     /// Property facets for `ext`; caching behaves as for
@@ -135,13 +155,24 @@ impl FacetCache {
         ext: &ExtSet,
         opts: FacetOptions,
     ) -> Result<Arc<Vec<PropertyFacet>>, FacetError> {
+        self.property_facets_traced(store, ext, opts).map(|(v, _)| v)
+    }
+
+    /// [`FacetCache::property_facets`] with this call's own hit or miss; see
+    /// [`FacetCache::class_markers_traced`].
+    pub fn property_facets_traced(
+        &self,
+        store: &Store,
+        ext: &ExtSet,
+        opts: FacetOptions,
+    ) -> Result<(Arc<Vec<PropertyFacet>>, CacheOutcome), FacetError> {
         let key = Key::new(Kind::Facets, store, ext);
         if let Some(CachedValue::Facets(v)) = self.lookup(key) {
-            return Ok(v);
+            return Ok((v, CacheOutcome::Hit));
         }
         let computed = Arc::new(property_facets_opts(store, ext, opts)?);
         self.store_entry(key, CachedValue::Facets(Arc::clone(&computed)));
-        Ok(computed)
+        Ok((computed, CacheOutcome::Miss))
     }
 
     /// Best stale class markers for `ext`: the newest cached entry for this
@@ -372,6 +403,22 @@ mod tests {
         });
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (4, 1), "{st:?}");
+    }
+
+    /// Each call reports its own outcome, per marker kind.
+    #[test]
+    fn traced_lookups_report_their_own_outcome() {
+        let s = store();
+        let cache = FacetCache::new(8);
+        let opts = FacetOptions::default();
+        let e = ext(&s);
+        let (_, first) = cache.property_facets_traced(&s, &e, opts.clone()).unwrap();
+        let (_, warm) = cache.property_facets_traced(&s, &e, opts.clone()).unwrap();
+        let (_, classes) = cache.class_markers_traced(&s, &e, opts).unwrap();
+        assert_eq!(
+            (first, warm, classes),
+            (CacheOutcome::Miss, CacheOutcome::Hit, CacheOutcome::Miss)
+        );
     }
 
     #[test]

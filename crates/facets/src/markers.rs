@@ -98,6 +98,15 @@ where
     })
 }
 
+/// Stable sort of markers by the display name of the term `id` picks out
+/// (local name for IRIs, lexical form for literals), the order every marker
+/// list is shown in. Each key is computed once and borrowed from the store,
+/// so a comparison allocates nothing; markers with equal names keep their
+/// input order.
+fn sort_by_display_name<T>(store: &Store, items: &mut [T], id: impl Fn(&T) -> TermId) {
+    items.sort_by_cached_key(|item| store.term(id(item)).display_str());
+}
+
 /// A class-based transition marker: a class, its instance count restricted
 /// to the current extension, and its direct subclasses (the hierarchical
 /// layout of the reflexive-transitive reduction, §5.3.2).
@@ -133,7 +142,7 @@ pub fn class_markers_opts(
         build_class_marker(store, &dense, roots[i], &mut BTreeSet::new(), expiry)
     })?;
     let mut out: Vec<ClassMarker> = slots.into_iter().flatten().collect();
-    out.sort_by_key(|m| store.term(m.class).display_name());
+    sort_by_display_name(store, &mut out, |m| m.class);
     Ok(out)
 }
 
@@ -164,7 +173,7 @@ pub fn class_markers_from_counts(
                 children.push(m);
             }
         }
-        children.sort_by_key(|m| store.term(m.class).display_name());
+        sort_by_display_name(store, &mut children, |m| m.class);
         seen.remove(&class);
         if count == 0 {
             return None;
@@ -176,7 +185,7 @@ pub fn class_markers_from_counts(
         .into_iter()
         .filter_map(|root| build(store, counts, root, &mut BTreeSet::new()))
         .collect();
-    out.sort_by_key(|m| store.term(m.class).display_name());
+    sort_by_display_name(store, &mut out, |m| m.class);
     out
 }
 
@@ -205,7 +214,7 @@ fn build_class_marker(
             children.push(m);
         }
     }
-    children.sort_by_key(|m| store.term(m.class).display_name());
+    sort_by_display_name(store, &mut children, |m| m.class);
     seen.remove(&class);
     if count == 0 {
         return Ok(None);
@@ -257,7 +266,7 @@ pub fn property_facets_opts(
         build_property_facet(store, &dense, roots[i], &mut BTreeSet::new(), expiry)
     })?;
     let mut out: Vec<PropertyFacet> = slots.into_iter().flatten().collect();
-    out.sort_by_key(|f| store.term(f.property).display_name());
+    sort_by_display_name(store, &mut out, |f| f.property);
     Ok(out)
 }
 
@@ -276,12 +285,7 @@ fn build_property_facet(
     }
     let step = PathStep::fwd(property);
     let mut values = joins_with_counts(store, ext, step);
-    values.sort_by(|a, b| {
-        store
-            .term(a.0)
-            .display_name()
-            .cmp(&store.term(b.0).display_name())
-    });
+    sort_by_display_name(store, &mut values, |v| v.0);
     let mut children: Vec<PropertyFacet> = Vec::new();
     for sub in store.direct_subproperties(property) {
         if let Some(f) = build_property_facet(store, ext, sub, seen, expiry)? {
@@ -341,12 +345,10 @@ pub fn grouped_values(store: &Store, ext: &ExtSet, property: TermId) -> GroupedV
         }
     }
     for (_, _, members) in &mut groups {
-        members.sort_by(|a, b| {
-            store.term(a.0).display_name().cmp(&store.term(b.0).display_name())
-        });
+        sort_by_display_name(store, members, |v| v.0);
     }
-    groups.sort_by_key(|a| store.term(a.0).display_name());
-    ungrouped.sort_by_key(|a| store.term(a.0).display_name());
+    sort_by_display_name(store, &mut groups, |g| g.0);
+    sort_by_display_name(store, &mut ungrouped, |v| v.0);
     GroupedValues { groups, ungrouped }
 }
 
@@ -366,13 +368,11 @@ pub fn inverse_property_facets(store: &Store, ext: &ExtSet) -> Vec<PropertyFacet
             if values.is_empty() {
                 return None;
             }
-            values.sort_by(|a, b| {
-                store.term(a.0).display_name().cmp(&store.term(b.0).display_name())
-            });
+            sort_by_display_name(store, &mut values, |v| v.0);
             Some(PropertyFacet { property: p, values, children: Vec::new() })
         })
         .collect();
-    out.sort_by_key(|f| store.term(f.property).display_name());
+    sort_by_display_name(store, &mut out, |f| f.property);
     out
 }
 
@@ -386,12 +386,7 @@ pub fn expand_path(
     if path.len() == 1 {
         // single-step facet: one pass suffices
         let mut out = joins_with_counts(store, ext, path[0]);
-        out.sort_by(|a, b| {
-            store
-                .term(a.0)
-                .display_name()
-                .cmp(&store.term(b.0).display_name())
-        });
+        sort_by_display_name(store, &mut out, |v| v.0);
         return out;
     }
     let terminals = joins_path(store, ext, path);
@@ -406,12 +401,7 @@ pub fn expand_path(
         })
         .filter(|&(_, n)| n > 0)
         .collect();
-    out.sort_by(|a, b| {
-        store
-            .term(a.0)
-            .display_name()
-            .cmp(&store.term(b.0).display_name())
-    });
+    sort_by_display_name(store, &mut out, |v| v.0);
     out
 }
 

@@ -5,6 +5,7 @@
 //! and objects may be any term (§2.1 of the paper).
 
 use crate::vocab::xsd;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A literal: a lexical form plus a datatype IRI and an optional language tag.
@@ -166,10 +167,18 @@ impl Term {
     /// A short human-readable rendering: local name for IRIs, lexical form
     /// for literals. Used by facet and answer-frame displays.
     pub fn display_name(&self) -> String {
+        self.display_str().into_owned()
+    }
+
+    /// [`Term::display_name`] borrowed from the term where possible: only a
+    /// blank node's `_:label` has to be built. Sorting markers by display
+    /// name compares these, so a comparison allocates nothing for IRIs and
+    /// literals.
+    pub fn display_str(&self) -> Cow<'_, str> {
         match self {
-            Term::Iri(s) => local_name(s).to_owned(),
-            Term::Blank(b) => format!("_:{b}"),
-            Term::Literal(l) => l.lexical.clone(),
+            Term::Iri(s) => Cow::Borrowed(local_name(s)),
+            Term::Blank(b) => Cow::Owned(format!("_:{b}")),
+            Term::Literal(l) => Cow::Borrowed(&l.lexical),
         }
     }
 }

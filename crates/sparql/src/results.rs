@@ -1,7 +1,7 @@
 //! Query result types returned at the public API boundary, with text,
 //! CSV, and W3C SPARQL-JSON serializations.
 
-use rdfa_model::{vocab::xsd, Graph, Literal, Term, Value};
+use rdfa_model::{json, vocab::xsd, Graph, Literal, Term, Value};
 
 /// A solution sequence: named columns plus rows of optional terms
 /// (`None` = unbound, e.g. under `OPTIONAL`).
@@ -108,46 +108,30 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// JSON string escaping (quotes included in the output).
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// One term in the W3C SPARQL-JSON binding shape.
-fn term_json(t: &Term) -> String {
+/// Write one term in the W3C SPARQL-JSON binding shape.
+fn write_term_json(out: &mut impl std::io::Write, t: &Term) -> std::io::Result<()> {
+    let (kind, value) = match t {
+        Term::Iri(iri) => ("uri", iri),
+        Term::Blank(b) => ("bnode", b),
+        Term::Literal(Literal { lexical, .. }) => ("literal", lexical),
+    };
+    write!(out, "{{\"type\":\"{kind}\",")?;
     match t {
-        Term::Iri(iri) => format!("{{\"type\":\"uri\",\"value\":{}}}", js(iri)),
-        Term::Blank(b) => format!("{{\"type\":\"bnode\",\"value\":{}}}", js(b)),
-        Term::Literal(Literal { lexical, datatype, lang: Some(lang) }) => {
-            let _ = datatype;
-            format!("{{\"type\":\"literal\",\"xml:lang\":{},\"value\":{}}}", js(lang), js(lexical))
+        Term::Literal(Literal { lang: Some(lang), .. }) => {
+            out.write_all(b"\"xml:lang\":")?;
+            json::write_string(out, lang)?;
+            out.write_all(b",")?;
         }
-        Term::Literal(Literal { lexical, datatype, lang: None }) => {
-            if datatype == xsd::STRING {
-                format!("{{\"type\":\"literal\",\"value\":{}}}", js(lexical))
-            } else {
-                format!(
-                    "{{\"type\":\"literal\",\"datatype\":{},\"value\":{}}}",
-                    js(datatype),
-                    js(lexical)
-                )
-            }
+        Term::Literal(Literal { datatype, lang: None, .. }) if datatype != xsd::STRING => {
+            out.write_all(b"\"datatype\":")?;
+            json::write_string(out, datatype)?;
+            out.write_all(b",")?;
         }
+        _ => {}
     }
+    out.write_all(b"\"value\":")?;
+    json::write_string(out, value)?;
+    out.write_all(b"}")
 }
 
 impl Solutions {
@@ -197,8 +181,14 @@ impl Solutions {
     /// Stream the W3C SPARQL-JSON serialization binding by binding into
     /// `out`; the streaming counterpart of [`Solutions::to_json`].
     pub fn write_json(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        let head = self.vars.iter().map(|v| js(v)).collect::<Vec<_>>().join(",");
-        write!(out, "{{\"head\":{{\"vars\":[{head}]}},\"results\":{{\"bindings\":[")?;
+        out.write_all(b"{\"head\":{\"vars\":[")?;
+        for (i, v) in self.vars.iter().enumerate() {
+            if i > 0 {
+                out.write_all(b",")?;
+            }
+            json::write_string(out, v)?;
+        }
+        out.write_all(b"]},\"results\":{\"bindings\":[")?;
         for (r, row) in self.rows.iter().enumerate() {
             if r > 0 {
                 out.write_all(b",")?;
@@ -211,7 +201,9 @@ impl Solutions {
                         out.write_all(b",")?;
                     }
                     first = false;
-                    write!(out, "{}:{}", js(v), term_json(t))?;
+                    json::write_string(out, v)?;
+                    out.write_all(b":")?;
+                    write_term_json(out, t)?;
                 }
             }
             out.write_all(b"}")?;
@@ -333,6 +325,32 @@ mod tests {
         let s = Solutions::new(vec!["x".into()], vec![vec![Some(Term::string("a\"b\\c\nd"))]]);
         let json = s.to_json();
         assert!(json.contains("a\\\"b\\\\c\\nd"));
+    }
+
+    /// The exact SPARQL-JSON bytes for every term shape, escapes included.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let s = Solutions::new(
+            vec!["x".into(), "y\"".into()],
+            vec![
+                vec![Some(Term::iri("http://e/a\\b")), Some(Term::blank("b0"))],
+                vec![
+                    Some(Term::Literal(Literal::lang_string("h\u{e9}\u{1}", "en"))),
+                    Some(Term::integer(5)),
+                ],
+                vec![None, Some(Term::string("tab\there"))],
+            ],
+        );
+        assert_eq!(
+            s.to_json(),
+            concat!(
+                r#"{"head":{"vars":["x","y\""]},"results":{"bindings":["#,
+                r#"{"x":{"type":"uri","value":"http://e/a\\b"},"y\"":{"type":"bnode","value":"b0"}},"#,
+                r#"{"x":{"type":"literal","xml:lang":"en","value":"hé\u0001"},"#,
+                r#""y\"":{"type":"literal","datatype":"http://www.w3.org/2001/XMLSchema#integer","value":"5"}},"#,
+                r#"{"y\"":{"type":"literal","value":"tab\there"}}]}}"#,
+            )
+        );
     }
 
     #[test]

@@ -73,9 +73,9 @@
 //! sees the final state.
 
 use rdfa_facets::{
-    notation, ClassMarker, FacetCache, FacetError, FacetOptions, PropertyFacet,
-    State as FacetState,
+    notation, panel, CacheOutcome, FacetCache, FacetError, FacetOptions, State as FacetState,
 };
+use rdfa_model::json;
 use rdfa_sparql::{
     execute_update, execute_update_recording, CancelFlag, Engine, EvalLimits, QueryResults,
 };
@@ -841,8 +841,8 @@ fn handle_request(
                     v.views()
                         .iter()
                         .map(|i| format!(
-                            "{{\"key\":\"{}\",\"generation\":{},\"groups\":{},\"approx_bytes\":{},\"hits\":{},\"score_micros\":{}}}",
-                            json_escape(&i.key),
+                            "{{\"key\":{},\"generation\":{},\"groups\":{},\"approx_bytes\":{},\"hits\":{},\"score_micros\":{}}}",
+                            json::string(&i.key),
                             i.generation,
                             i.groups,
                             i.approx_bytes,
@@ -1246,7 +1246,9 @@ fn serve_facets(
     let mut policy = rdfa_facets::ExecPolicy::new();
     policy.deadline = deadline;
     let opts = FacetOptions::with_policy(policy);
-    let misses_before = facet_cache.stats().misses;
+    // this request's own fresh lookups; the shared miss counter also moves
+    // with other connections' lookups, so it cannot label one response
+    let mut outcomes: Vec<CacheOutcome> = Vec::with_capacity(2);
     let mut stale_generation: Option<u64> = None;
     let mut last_err: Option<FacetError> = None;
 
@@ -1272,8 +1274,9 @@ fn serve_facets(
         Some(Arc::new(rdfa_facets::class_markers_from_counts(&snap, &counts)))
     } else {
         let started = Instant::now();
-        match facet_cache.class_markers(&snap, &ext, opts.clone()) {
-            Ok(c) => {
+        match facet_cache.class_markers_traced(&snap, &ext, opts.clone()) {
+            Ok((c, outcome)) => {
+                outcomes.push(outcome);
                 // report the direct cost so the selector can decide the
                 // class-counts view is worth materializing
                 if initial_state {
@@ -1303,8 +1306,11 @@ fn serve_facets(
     let fresh_facets = if cached_only {
         None
     } else {
-        match facet_cache.property_facets(&snap, &ext, opts) {
-            Ok(f) => Some(f),
+        match facet_cache.property_facets_traced(&snap, &ext, opts) {
+            Ok((f, outcome)) => {
+                outcomes.push(outcome);
+                Some(f)
+            }
             Err(e) => {
                 last_err = Some(e);
                 None
@@ -1323,27 +1329,31 @@ fn serve_facets(
         },
     };
 
-    let mut headers = vec![if stale_generation.is_some() {
-        "X-Facet-Cache: stale".to_owned()
-    } else if facet_cache.stats().misses > misses_before {
-        "X-Facet-Cache: miss".to_owned()
-    } else {
-        "X-Facet-Cache: hit".to_owned()
-    }];
+    let mut headers = vec![format!(
+        "X-Facet-Cache: {}",
+        facet_cache_label(stale_generation.is_some(), &outcomes)
+    )];
     if let Some(generation) = stale_generation {
         headers.push(format!("X-Facet-Stale: {generation}"));
     }
     if view_hit {
         headers.push("X-Facet-View: hit".to_owned());
     }
-    let payload = format!(
-        "{{\"generation\":{},\"extension\":{},\"classes\":[{}],\"facets\":[{}]}}",
-        snap.generation(),
-        ext.len(),
-        classes.iter().map(|m| class_marker_json(&snap, m)).collect::<Vec<_>>().join(","),
-        facets.iter().map(|f| facet_json(&snap, f)).collect::<Vec<_>>().join(","),
-    );
+    let payload = panel::panel_json(&snap, snap.generation(), ext.len(), &classes, &facets);
     write_response_headed(wire, "200 OK", "application/json", &headers, &payload)
+}
+
+/// The `X-Facet-Cache` label of one facets response: `stale` when a
+/// superseded generation was served, else `miss` when any of the request's
+/// own fresh lookups computed its markers, else `hit`.
+fn facet_cache_label(stale: bool, outcomes: &[CacheOutcome]) -> &'static str {
+    if stale {
+        "stale"
+    } else if outcomes.contains(&CacheOutcome::Miss) {
+        "miss"
+    } else {
+        "hit"
+    }
 }
 
 /// True when the initial facet state's per-class counts equal the
@@ -1382,36 +1392,6 @@ fn write_facet_unavailable(
         "application/json",
         &[retry_after_header(ctx)],
         &json_error(503, &message),
-    )
-}
-
-fn term_json(store: &Store, id: rdfa_store::TermId) -> String {
-    let term = store.term(id);
-    match term.as_iri() {
-        Some(iri) => format!("\"{}\"", json_escape(iri)),
-        None => format!("\"{}\"", json_escape(&term.display_name())),
-    }
-}
-
-fn class_marker_json(store: &Store, m: &ClassMarker) -> String {
-    format!(
-        "{{\"class\":{},\"count\":{},\"children\":[{}]}}",
-        term_json(store, m.class),
-        m.count,
-        m.children.iter().map(|c| class_marker_json(store, c)).collect::<Vec<_>>().join(","),
-    )
-}
-
-fn facet_json(store: &Store, f: &PropertyFacet) -> String {
-    format!(
-        "{{\"property\":{},\"values\":[{}],\"children\":[{}]}}",
-        term_json(store, f.property),
-        f.values
-            .iter()
-            .map(|(v, n)| format!("{{\"value\":{},\"count\":{n}}}", term_json(store, *v)))
-            .collect::<Vec<_>>()
-            .join(","),
-        f.children.iter().map(|c| facet_json(store, c)).collect::<Vec<_>>().join(","),
     )
 }
 
@@ -1614,23 +1594,7 @@ fn write_response_raw(
 
 /// `{"error":{"code":…,"message":"…"}}`
 fn json_error(code: u16, message: &str) -> String {
-    format!("{{\"error\":{{\"code\":{code},\"message\":\"{}\"}}}}", json_escape(message))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    format!("{{\"error\":{{\"code\":{code},\"message\":{}}}}}", json::string(message))
 }
 
 /// Extract and percent-decode one value from a `k=v&k2=v2` query string.
@@ -2289,6 +2253,38 @@ mod tests {
         let third = get(server.addr(), &format!("/v1/facets?class={class}"), "*/*");
         assert!(third.contains("X-Facet-Cache: miss"), "{third}");
         assert!(third.contains("\"extension\":3"), "{third}");
+    }
+
+    /// A miss on another connection that lands between this request's
+    /// lookups must not turn its warm hit into `X-Facet-Cache: miss`. The
+    /// old label diffed the shared miss counter around the lookups and got
+    /// exactly this case wrong.
+    #[test]
+    fn facet_cache_label_ignores_other_connections_misses() {
+        let store = demo_store();
+        let cache = FacetCache::new(8);
+        let laptop = store.lookup_iri("http://example.org/Laptop").unwrap();
+        let ext = store.instances_set(laptop);
+        let opts = FacetOptions::default();
+        cache.class_markers(&store, &ext, opts.clone()).unwrap();
+        cache.property_facets(&store, &ext, opts.clone()).unwrap();
+
+        let misses_before = cache.stats().misses;
+        let (_, classes) = cache.class_markers_traced(&store, &ext, opts.clone()).unwrap();
+        // another connection's cold panel, interleaved between the lookups
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let one: rdfa_facets::ExtSet = ext.iter().take(1).collect();
+                cache.property_facets(&store, &one, opts.clone()).unwrap();
+            });
+        });
+        let (_, facets) = cache.property_facets_traced(&store, &ext, opts).unwrap();
+
+        let old_label = if cache.stats().misses > misses_before { "miss" } else { "hit" };
+        assert_eq!(old_label, "miss", "the counter diff mislabels the warm hit");
+        assert_eq!(facet_cache_label(false, &[classes, facets]), "hit");
+        assert_eq!(facet_cache_label(false, &[CacheOutcome::Hit, CacheOutcome::Miss]), "miss");
+        assert_eq!(facet_cache_label(true, &[classes, facets]), "stale");
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! the sorted-dense `ExtSet` and every algebra operation built on it must
 //! agree, byte for byte, with the seed's `BTreeSet` implementations on
 //! randomly generated graphs — and the generation-keyed `FacetCache` must
-//! recompute after any SPARQL update mutates the store.
+//! recompute after any SPARQL update mutates the store. The facet panel's
+//! JSON writer must reproduce the original `format!` renderer byte for
+//! byte, escapes, blank nodes and duplicate display names included.
 
 use rdf_analytics::facets::markers::{self, FacetOptions};
-use rdf_analytics::facets::{ops, ExecPolicy, ExtSet, FacetCache, PathStep};
+use rdf_analytics::facets::{ops, panel, ExecPolicy, ExtSet, FacetCache, PathStep};
+use rdf_analytics::model::vocab::{rdf, rdfs};
+use rdf_analytics::model::{Graph, Literal, Term};
 use rdf_analytics::sparql::execute_update;
 use rdf_analytics::store::{Store, TermId};
 use rdfa_prng::StdRng;
@@ -243,6 +247,7 @@ fn markers_match_reference_sequential_and_parallel() {
             assert_eq!(classes, classes_ref, "case {case} threads {threads}: class markers");
             assert_eq!(facets, facets_ref, "case {case} threads {threads}: property facets");
         }
+        assert_panel_matches_oracle(&store, ext.len(), &classes_ref, &facets_ref);
     }
 }
 
@@ -365,4 +370,161 @@ fn cache_recomputes_after_insert_and_delete_data() {
     // stale entry
     execute_update(&mut store, "PREFIX ex: <http://e/> DELETE DATA { ex:zz a ex:C . }").unwrap();
     assert!(store.generation() >= g2, "generation is monotone");
+}
+
+// ---------------------------------------------------------------------------
+// 6. the panel writer and marker order on awkward terms
+// ---------------------------------------------------------------------------
+
+/// The panel writer's output equals the original renderer's.
+fn assert_panel_matches_oracle(
+    store: &Store,
+    extension: usize,
+    classes: &[markers::ClassMarker],
+    facets: &[markers::PropertyFacet],
+) -> String {
+    let generation = store.generation();
+    let expected = panel::reference::panel_json(store, generation, extension, classes, facets);
+    let written = panel::panel_json(store, generation, extension, classes, facets);
+    assert_eq!(written, expected, "panel JSON diverged from the reference renderer");
+    written
+}
+
+/// A store built from terms rather than Turtle, so IRIs and literals can
+/// carry `"`, `\`, newlines, U+0001 and non-ASCII. It has nested subclass
+/// and subproperty children, blank-node, language-tagged and typed values,
+/// and several display-name collisions: `Laptop` and `Name` in two
+/// namespaces, the literal `"Name"`, `"chat"@fr` beside `"chat"@en`, and
+/// `"5"` beside `"5"^^xsd:integer`.
+fn awkward_store() -> Store {
+    let e = |local: &str| Term::iri(format!("http://e/{local}"));
+    let (a, sub_class, sub_prop) =
+        (Term::iri(rdf::TYPE), Term::iri(rdfs::SUB_CLASS_OF), Term::iri(rdfs::SUB_PROPERTY_OF));
+    let mut g = Graph::new();
+    g.add(e("Laptop"), sub_class.clone(), e("Product"));
+    g.add(e("Gaming"), sub_class.clone(), e("Laptop"));
+    g.add(Term::iri("http://other.org/Laptop"), sub_class.clone(), e("Product"));
+    g.add(e("Caf\u{e9}\"s\\"), sub_class, e("Product"));
+    g.add(e("sub"), sub_prop.clone(), e("p"));
+    g.add(e("subsub"), sub_prop, e("sub"));
+    let classes = [
+        e("Gaming"),
+        Term::iri("http://other.org/Laptop"),
+        e("Laptop"),
+        e("Caf\u{e9}\"s\\"),
+    ];
+    let values = [
+        Term::iri("http://a.org/Name"),
+        Term::iri("http://b.org/Name"),
+        Term::string("Name"),
+        Term::string("quote \" back \\ nl \n ctl \u{1} \u{65e5}\u{672c}"),
+        Term::Literal(Literal::lang_string("chat", "fr")),
+        Term::Literal(Literal::lang_string("chat", "en")),
+        Term::string("5"),
+        Term::integer(5),
+        Term::blank("b1"),
+        Term::blank("a0"),
+        Term::iri("http://e/new\nline"),
+        Term::iri("http://e/ctl\u{1}x"),
+    ];
+    let props = [e("p"), e("sub"), e("subsub"), e("q\"uote")];
+    for i in 0..24 {
+        let item = Term::iri(format!("http://e/item{i}"));
+        g.add(item.clone(), a.clone(), classes[i % classes.len()].clone());
+        g.add(item.clone(), props[i % props.len()].clone(), values[i % values.len()].clone());
+        g.add(item, props[(i / 3) % props.len()].clone(), values[(i * 7) % values.len()].clone());
+    }
+    // a blank subject with its own facet values
+    g.add(Term::blank("anon"), a, e("Laptop"));
+    g.add(Term::blank("anon"), e("p"), Term::blank("b1"));
+    let mut store = Store::new();
+    store.load_graph(&g);
+    store
+}
+
+#[test]
+fn panel_writer_matches_reference_on_awkward_terms() {
+    let store = awkward_store();
+    let all = ExtSet::from_sorted_iter(store.iter_explicit().map(|[s, _, _]| s));
+    let laptops = store.instances_set(store.lookup_iri("http://e/Laptop").unwrap());
+    let mut panels = Vec::new();
+    for ext in [&all, &laptops] {
+        let classes = markers::class_markers(&store, ext);
+        let facets = markers::property_facets(&store, ext);
+        panels.push(assert_panel_matches_oracle(&store, ext.len(), &classes, &facets));
+    }
+    // the awkward parts really are in the full panel
+    let json = &panels[0];
+    for needle in [
+        "\"http://e/Caf\u{e9}\\\"s\\\\\"",
+        "\"http://e/ctl\\u0001x\"",
+        "\"http://e/new\\nline\"",
+        "\"quote \\\" back \\\\ nl \\n ctl \\u0001 \u{65e5}\u{672c}\"",
+        "\"_:b1\"",
+        "\"children\":[{\"property\":\"http://e/sub\"",
+        "\"children\":[{\"class\":\"http://e/Gaming\"",
+    ] {
+        assert!(json.contains(needle), "{needle} missing from {json}");
+    }
+}
+
+#[test]
+fn marker_order_matches_reference_with_duplicate_display_names() {
+    let store = awkward_store();
+    let ext = ExtSet::from_sorted_iter(store.iter_explicit().map(|[s, _, _]| s));
+    let oracle = ext.to_btree_set();
+    let classes_ref = markers::reference::class_markers(&store, &oracle);
+    let facets_ref = markers::reference::property_facets(&store, &oracle);
+    for threads in [1usize, 4] {
+        let opts = FacetOptions::with_policy(ExecPolicy::new().with_threads(threads));
+        let classes = markers::class_markers_opts(&store, &ext, opts.clone()).unwrap();
+        let facets = markers::property_facets_opts(&store, &ext, opts).unwrap();
+        assert_eq!(classes, classes_ref, "threads {threads}: class markers");
+        assert_eq!(facets, facets_ref, "threads {threads}: property facets");
+    }
+
+    // the collisions are really there, and equal names keep id order
+    let name = |id: TermId| store.term(id).display_name();
+    fn check_runs(name: &dyn Fn(TermId) -> String, ids: &[TermId]) -> usize {
+        let mut collisions = 0;
+        for w in ids.windows(2) {
+            assert!(name(w[0]) <= name(w[1]), "not sorted by display name");
+            if name(w[0]) == name(w[1]) {
+                assert!(w[0] < w[1], "equal names out of input order");
+                collisions += 1;
+            }
+        }
+        collisions
+    }
+    let product = classes_ref
+        .iter()
+        .find(|m| store.term(m.class).as_iri() == Some("http://e/Product"))
+        .expect("Product marker");
+    let child_ids: Vec<TermId> = product.children.iter().map(|m| m.class).collect();
+    assert_eq!(check_runs(&name, &child_ids), 1, "the two Laptop classes collide");
+    let p = facets_ref
+        .iter()
+        .find(|f| store.term(f.property).as_iri() == Some("http://e/p"))
+        .expect("facet p");
+    let mut collisions = 0;
+    let mut stack = vec![p];
+    while let Some(f) = stack.pop() {
+        let ids: Vec<TermId> = f.values.iter().map(|&(v, _)| v).collect();
+        collisions += check_runs(&name, &ids);
+        stack.extend(f.children.iter());
+    }
+    assert!(collisions >= 3, "expected Name/chat/5 collisions, saw {collisions}");
+
+    // the other sorted marker lists agree with a plain stable sort too
+    let laptop = store.lookup_iri("http://e/Laptop").unwrap();
+    let laptops = store.instances_set(laptop);
+    let prop = store.lookup_iri("http://e/p").unwrap();
+    let expanded = markers::expand_path(&store, &laptops, &[PathStep::fwd(prop)]);
+    let mut expected = ops::joins_with_counts(&store, &laptops, PathStep::fwd(prop));
+    expected.sort_by_key(|&(v, _)| name(v));
+    assert_eq!(expanded, expected);
+    for f in markers::inverse_property_facets(&store, &ext) {
+        let ids: Vec<TermId> = f.values.iter().map(|&(v, _)| v).collect();
+        check_runs(&name, &ids);
+    }
 }
